@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +189,20 @@ class SolveConfig:
             raise DriverError(f"unknown source {self.source!r}")
         if self.analytic is not None and self.analytic not in ANALYTIC:
             raise DriverError(f"unknown analytic solution {self.analytic!r}")
+        if not isinstance(self.solver, dict):
+            raise DriverError("solver must be an object of AmenOptions fields")
+        unknown = set(self.solver) - {f.name for f in fields(AmenOptions)}
+        if unknown:
+            raise DriverError(f"unknown solver options: {sorted(unknown)}")
+        for name, val in self.solver.items():
+            if name == "initial":
+                ok = val is None or isinstance(val, TtTensor)
+            else:
+                ok = (val is None and name == "max_rank") or (
+                    type(val) is int and val >= 1
+                )
+            if not ok:
+                raise DriverError(f"bad value for solver option {name}: {val!r}")
 
     def resolve_bc(self, patch: GeometryPatch) -> "SolveConfig":
         """Fill in the geometry's default homogeneous Dirichlet faces."""
@@ -492,7 +506,7 @@ def solve_poisson(cfg: SolveConfig) -> SolutionReport:
     timings["t_bc_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    opts = AmenOptions(**cfg.solver) if cfg.solver else AmenOptions()
+    opts = AmenOptions(**cfg.solver)
     result = amen_solve(system.K, system.f, cfg.eps_solve, opts)
     timings["t_solve_s"] = time.perf_counter() - t0
 

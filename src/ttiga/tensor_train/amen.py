@@ -7,33 +7,46 @@ residual, which restores global convergence of the alternating scheme
 (Dolgov & Savostyanov, SIAM J. Sci. Comput. 36, 2014).
 
 Intended for the symmetric positive definite operators produced by the
-stiffness assembly; local systems are solved directly up to
-``direct_solve_max`` unknowns and by preconditioned conjugate gradients
-above that size.
+stiffness assembly. Each local operator is sum phiL (x) M_k (x) phiR with
+M_k banded (half-bandwidth p), and the core's shape alone picks its solver:
+
+* a core with a unit rank on either side (the edge cores, and rank-1 middle
+  cores) is solved directly by a banded Cholesky factorization with the
+  unknowns ordered mode-major, (i, x, z), which bounds the half-bandwidth by
+  (p + 1) r0 r1 - 1; a matrix that is not positive definite falls back to a
+  banded LU;
+* every other core is solved by conjugate gradients preconditioned with the
+  banded n x n diagonal blocks of each (x, z) rank pair (block Jacobi, the
+  ``cjacobi`` preconditioner of ``amen_solve2``), factored once per system.
+
+Each half-sweep logs one debug record: residual, ranks, banded and CG local
+solve counts, and total CG iterations.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .core import TtMatrix, TtTensor, tt_matvec, tt_norm, tt_round, tt_sub
 
 __all__ = ["AmenOptions", "AmenResult", "amen_solve"]
 
+log = logging.getLogger(__name__)
+
 
 @dataclass
 class AmenOptions:
     kick_rank: int = 4
     max_sweeps: int = 50
-    direct_solve_max: int = 5000
     cg_maxiter: int = 1500
     max_rank: int | None = None
     initial: TtTensor | None = None
-    verbose: bool = False
 
 
 @dataclass
@@ -49,58 +62,49 @@ class AmenResult:
 
 
 class _OpCore:
-    """One operator core with banded-aware contraction kernels.
+    """One operator core with sparse contraction kernels and its band.
 
     Stiffness cores are banded in their (row, col) pair with half-bandwidth
-    equal to the spline degree; exploiting that turns the n^2 contraction
-    into (2p+1) shifted n-contractions.
+    ``hb`` equal to the spline degree. The contractions run as sparse
+    products, so their cost follows the band, and the band's diagonals feed
+    the band storage of the local solvers.
     """
 
     def __init__(self, M: np.ndarray):
         self.M = M
-        n = M.shape[1]
-        mask = np.any(M != 0.0, axis=(0, 3))
-        if mask.any():
-            ii, jj = np.nonzero(mask)
-            hb = int(np.max(np.abs(ii - jj)))
-        else:
-            hb = 0
-        self.offsets = None
-        if n >= 32 and hb <= n // 6:
-            offs = []
-            for o in range(-hb, hb + 1):
-                i0, i1 = max(0, -o), min(n, n - o)
-                rows = np.arange(i0, i1)
-                offs.append((o, i0, i1, np.ascontiguousarray(M[:, rows, rows + o, :])))
-            self.offsets = offs
+        a, n, _, b = M.shape
+        ka, ki, kj, kb = np.nonzero(M)
+        vals = M[ka, ki, kj, kb]
+        self.hb = int(np.max(np.abs(ki - kj))) if ki.size else 0
+        # rows (i, b) by columns (a, j), and rows (i, a) by columns (b, j)
+        self.fwd = sp.csr_matrix(
+            (vals, (ki * b + kb, ka * n + kj)), shape=(n * b, a * n)
+        )
+        self.rev = sp.csr_matrix(
+            (vals, (ki * a + ka, kb * n + kj)), shape=(n * a, b * n)
+        )
+
+    def lower(self):
+        """Pairs (m, D) for m = 0..hb with D[a, j, b] = M[a, j + m, j, b]."""
+        n = self.M.shape[1]
+        return [
+            (m, self.M[:, np.arange(m, n), np.arange(n - m), :])
+            for m in range(self.hb + 1)
+        ]
+
+    @staticmethod
+    def _contract(S, T):
+        X, c, n, W = T.shape
+        out = S @ T.transpose(1, 2, 0, 3).reshape(c * n, X * W)
+        return out.reshape(n, -1, X, W).transpose(2, 0, 1, 3)
 
     def apply(self, T: np.ndarray) -> np.ndarray:
         """Contract (a=left rank, j=col): T (X,a,j,W) -> (X,i,b,W)."""
-        if self.offsets is None:
-            return np.einsum("aijb,xajw->xibw", self.M, T, optimize=True)
-        X, _, n, W = T.shape
-        out = np.zeros((X, n, self.M.shape[3], W))
-        for o, i0, i1, Mo in self.offsets:
-            out[:, i0:i1] += np.einsum(
-                "anb,xanw->xnbw", Mo, T[:, :, i0 + o: i1 + o, :], optimize=True
-            )
-        return out
+        return self._contract(self.fwd, T)
 
     def apply_rev(self, T: np.ndarray) -> np.ndarray:
         """Contract (b=right rank, j=col): T (X,b,j,W) -> (X,i,a,W)."""
-        if self.offsets is None:
-            return np.einsum("aijb,xbjw->xiaw", self.M, T, optimize=True)
-        X, _, n, W = T.shape
-        out = np.zeros((X, n, self.M.shape[0], W))
-        for o, i0, i1, Mo in self.offsets:
-            out[:, i0:i1] += np.einsum(
-                "anb,xbnw->xnaw", Mo, T[:, :, i0 + o: i1 + o, :], optimize=True
-            )
-        return out
-
-    def diag(self) -> np.ndarray:
-        """Diagonal slices (a, i, b) of the (row, col) pair."""
-        return np.einsum("aiib->aib", self.M)
+        return self._contract(self.rev, T)
 
 
 def _env_left_A(phi, U, op: _OpCore):
@@ -134,8 +138,30 @@ def _right_orthogonalize(cores):
     return cores
 
 
+def _banded_solver(ab: np.ndarray):
+    """Solve callable for the symmetric matrix with lower band ``ab``.
+
+    ``ab[m, j]`` holds entry (j + m, j). The band is Cholesky-factored once;
+    a matrix that is not positive definite falls back to a pivoted LU of
+    the mirrored full band.
+    """
+    try:
+        c = sla.cholesky_banded(ab, lower=True, check_finite=False)
+        return lambda b: sla.cho_solve_banded((c, True), b, check_finite=False)
+    except np.linalg.LinAlgError:
+        bw = ab.shape[0] - 1
+        full = np.zeros((2 * bw + 1, ab.shape[1]))
+        full[bw:] = ab
+        for m in range(1, bw + 1):
+            full[bw - m, m:] = ab[m, :-m]
+        return lambda b: sla.solve_banded((bw, bw), full, b, check_finite=False)
+
+
 class _LocalSystem:
-    """Projected operator at one core: y -> phiL * A_k * phiR applied to y."""
+    """Projected operator at one core: y -> phiL * A_k * phiR applied to y.
+
+    Unknowns are stored as (x, i, z): left rank, mode index, right rank.
+    """
 
     def __init__(self, phiL, op: _OpCore, phiR):
         self.phiL = phiL
@@ -145,59 +171,122 @@ class _LocalSystem:
         self.size = int(np.prod(self.shape3))
 
     def matvec3(self, v):
-        t = np.einsum("xay,yjw->xajw", self.phiL, v, optimize=True)
-        t = self.op.apply(t)
-        return np.einsum("xibw,zbw->xiz", t, self.phiR, optimize=True)
+        t = self.op.apply(np.tensordot(self.phiL, v, axes=([2], [0])))
+        return np.tensordot(t, self.phiR, axes=([2, 3], [1, 2]))
 
-    def dense(self):
-        # staged contraction keeps the intermediate at n^2 * rank sizes
-        T = np.einsum("xay,aijb->xiyjb", self.phiL, self.op.M, optimize=True)
-        B = np.einsum("xiyjb,zbw->xizyjw", T, self.phiR, optimize=True)
-        return B.reshape(self.size, self.size)
+    def mode_major_band(self):
+        """Lower band of the whole matrix with unknowns ordered (i, x, z).
 
-    def jacobi_diag(self):
+        With R = r0 r1 unknowns per mode index the half-bandwidth is
+        (hb + 1) R - 1; entry (j + m, xz), (j, yw) sits at band row
+        m R + xz - yw, column j R + yw.
+        """
+        r0, n, r1 = self.shape3
+        R = r0 * r1
+        ab = np.zeros(((self.op.hb + 1) * R, n * R))
+        e = np.arange(R)
+        for m, D in self.op.lower():
+            blocks = np.einsum(
+                "xay,anb,zbw->nxzyw", self.phiL, D, self.phiR, optimize=True
+            ).reshape(n - m, R, R)
+            rows = m * R + e[:, None] - e[None, :]
+            cols = (np.arange(n - m) * R)[:, None, None] + np.tile(e, (R, 1))
+            keep = rows >= 0  # the upper half of the m = 0 blocks
+            ab[rows[keep], cols[:, keep]] = blocks[:, keep]
+        return ab
+
+    def block_jacobi_band(self):
+        """Lower band of the (x, z) diagonal blocks, ordered (x, z, i).
+
+        Block (x, z) is the banded n x n matrix
+        sum_ab phiL[x,a,x] M[a,:,:,b] phiR[z,b,z]; placed one after the
+        other they form one band of half-width hb with no coupling across
+        blocks.
+        """
+        r0, n, r1 = self.shape3
         dL = np.einsum("xax->xa", self.phiL)
         dR = np.einsum("zbz->zb", self.phiR)
-        return np.einsum("xa,aib,zb->xiz", dL, self.op.diag(), dR, optimize=True)
+        ab = np.zeros((self.op.hb + 1, r0 * r1 * n))
+        for m, D in self.op.lower():
+            ab[m].reshape(r0, r1, n)[:, :, : n - m] = np.einsum(
+                "xa,anb,zb->xzn", dL, D, dR, optimize=True
+            )
+        return ab
 
-    def solve(self, rhs3, x0, rtol, direct_max, cg_maxiter):
-        rhs = rhs3.ravel()
-        if self.size <= direct_max:
-            B = self.dense()
-            try:
-                c, low = sla.cho_factor(B, check_finite=False)
-                x = sla.cho_solve((c, low), rhs, check_finite=False)
-            except np.linalg.LinAlgError:
-                x = sla.solve(B, rhs, assume_a="sym", check_finite=False)
-            return x.reshape(self.shape3)
-        shape3 = self.shape3
-        mv = self.matvec3
+    def solve(self, rhs3, x0, rtol, cg_maxiter):
+        """Local solution and its CG iteration count (None when direct).
+
+        A core with a unit rank on either side is solved directly through
+        its mode-major band; any other core by CG preconditioned with the
+        block-Jacobi band.
+        """
+        r0, n, r1 = self.shape3
+        if min(r0, r1) == 1:
+            x = _banded_solver(self.mode_major_band())(
+                rhs3.transpose(1, 0, 2).ravel()
+            )
+            return x.reshape(n, r0, r1).transpose(1, 0, 2), None
+        blocks = _banded_solver(self.block_jacobi_band())
+
+        def precond(v):
+            v = v.reshape(self.shape3).transpose(0, 2, 1).ravel()
+            return blocks(v).reshape(r0, r1, n).transpose(0, 2, 1).ravel()
+
         A = spla.LinearOperator(
             (self.size, self.size),
-            matvec=lambda v: mv(v.reshape(shape3)).ravel(),
+            matvec=lambda v: self.matvec3(v.reshape(self.shape3)).ravel(),
         )
-        d = np.abs(self.jacobi_diag().ravel())
-        floor = max(d.max(), 1e-300) * 1e-14
-        d[d < floor] = floor
-        M = spla.LinearOperator((self.size, self.size), matvec=lambda v: v / d)
+        M = spla.LinearOperator((self.size, self.size), matvec=precond)
+        iters = 0
+
+        def count(_):
+            nonlocal iters
+            iters += 1
+
         x, _ = spla.cg(
             A,
-            rhs,
+            rhs3.ravel(),
             x0=None if x0 is None else x0.ravel(),
             rtol=max(rtol, 1e-14),
             atol=0.0,
             maxiter=cg_maxiter,
             M=M,
+            callback=count,
         )
-        return x.reshape(self.shape3)
+        return x.reshape(self.shape3), iters
 
 
-def _truncate_by_residual(sys_: _LocalSystem, x3, rhs3, tau, forward: bool):
+def _first_passing(passes, top: int, guess: int) -> int:
+    """Smallest q in [1, top] with ``passes(q)``, for a monotone ``passes``
+    known to hold at ``top``.
+
+    Probes gallop outwards from ``guess`` until they bracket the answer,
+    then bisect; a good guess costs two probes instead of a full binary
+    search.
+    """
+    lo, hi = 0, top  # passes(hi) holds; lo = 0 stands for "fails"
+    q, step = min(max(guess, 1), top - 1), 1
+    while hi - lo > 1:
+        if not lo < q < hi:
+            q = (lo + hi) // 2
+        if passes(q):
+            hi, q = q, q - step
+        else:
+            lo, q = q, q + step
+        step *= 2
+    return hi
+
+
+def _truncate_by_residual(
+    sys_: _LocalSystem, x3, rhs3, tau, forward: bool, guess: int
+):
     """Smallest SVD rank of the solved core whose local residual stays <= tau.
 
     Ties the rank of the stored core to the accuracy that the local solve
     actually delivers, so truncation never undoes solver progress and never
-    hoards ranks the residual cannot justify.
+    hoards ranks the residual cannot justify. The full rank reproduces the
+    solved core, whose residual is within tau by construction; the search
+    for the smallest passing rank starts from ``guess``.
     """
     r0, n, r1 = x3.shape
     if forward:
@@ -205,23 +294,12 @@ def _truncate_by_residual(sys_: _LocalSystem, x3, rhs3, tau, forward: bool):
     else:
         mat = x3.reshape(r0, n * r1)
     U, s, Vt = np.linalg.svd(mat, full_matrices=False)
-    rmax = s.size
 
-    def residual_at(q):
+    def passes(q):
         xq = (U[:, :q] * s[:q]) @ Vt[:q]
-        return np.linalg.norm(sys_.matvec3(xq.reshape(r0, n, r1)) - rhs3)
+        return np.linalg.norm(sys_.matvec3(xq.reshape(r0, n, r1)) - rhs3) <= tau
 
-    if rmax == 1 or residual_at(1) <= tau:
-        q = 1
-    else:
-        lo, hi = 1, rmax  # residual_at(lo) > tau, residual_at(hi) <= tau
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if residual_at(mid) <= tau:
-                hi = mid
-            else:
-                lo = mid
-        q = hi
+    q = _first_passing(passes, s.size, guess)
     return U[:, :q], s[:q], Vt[:q]
 
 
@@ -277,7 +355,11 @@ def amen_solve(
     phiA_L[0] = np.ones((1, 1, 1))
     phif_L[0] = np.ones((1, 1))
 
-    rel_res, _ = current_residual()
+    # the last truncation rank at each interface seeds the next search
+    last_rank = list(TtTensor(u).ranks)
+
+    # one exact residual serves the end of a sweep and the start of the next
+    rel_res, diff = current_residual()
     converged = rel_res <= eps
     sweeps = 0
     best = ([G.copy() for G in u], rel_res)
@@ -285,7 +367,8 @@ def amen_solve(
     while not converged and sweeps < opts.max_sweeps:
         sweeps += 1
         for forward in (True, False):
-            rel_res, diff = current_residual()
+            if not forward:
+                rel_res, diff = current_residual()
             if rel_res < best[1]:
                 best = ([G.copy() for G in u], rel_res)
             if rel_res <= eps:
@@ -301,6 +384,7 @@ def amen_solve(
             # local accuracy target, in absolute local-residual units
             tau_abs = 0.3 * max(eps, 0.03 * rel_res) * fnorm
             order = range(d) if forward else range(d - 1, -1, -1)
+            n_banded = n_pcg = cg_iters = 0
             for k in order:
                 sys_ = _LocalSystem(phiA_L[k], ops[k], phiA_R[k + 1])
                 rhs3 = np.einsum(
@@ -312,14 +396,20 @@ def amen_solve(
                 )
                 rhs_nrm = np.linalg.norm(rhs3)
                 rtol = min(0.1, tau_abs / max(rhs_nrm, 1e-300))
-                x3 = sys_.solve(
-                    rhs3, u[k], rtol, opts.direct_solve_max, opts.cg_maxiter
-                )
+                x3, iters = sys_.solve(rhs3, u[k], rtol, opts.cg_maxiter)
+                if iters is None:
+                    n_banded += 1
+                else:
+                    n_pcg += 1
+                    cg_iters += iters
                 achieved = np.linalg.norm(sys_.matvec3(x3) - rhs3)
                 tau = max(tau_abs, achieved * (1.0 + 1e-12))
 
                 if forward and k < d - 1:
-                    Uq, s, Vt = _truncate_by_residual(sys_, x3, rhs3, tau, True)
+                    Uq, s, Vt = _truncate_by_residual(
+                        sys_, x3, rhs3, tau, True, last_rank[k + 1]
+                    )
+                    last_rank[k + 1] = s.size
                     carry = s[:, None] * Vt  # (q, r1)
                     zeta = np.einsum(
                         "xe,eic->xic", phiz_L[k], z.cores[k], optimize=True
@@ -341,7 +431,10 @@ def amen_solve(
                     phif_L[k + 1] = _env_left_vec(phif_L[k], u[k], f.cores[k])
                     phiz_L[k + 1] = _env_left_vec(phiz_L[k], u[k], z.cores[k])
                 elif not forward and k > 0:
-                    Uq, s, Vt = _truncate_by_residual(sys_, x3, rhs3, tau, False)
+                    Uq, s, Vt = _truncate_by_residual(
+                        sys_, x3, rhs3, tau, False, last_rank[k]
+                    )
+                    last_rank[k] = s.size
                     carry = Uq * s  # (r0, q)
                     zeta = np.einsum(
                         "eiz,wz->eiw", z.cores[k], phiz_R[k + 1], optimize=True
@@ -362,11 +455,14 @@ def amen_solve(
                     phiz_R[k] = _env_right_vec(phiz_R[k + 1], u[k], z.cores[k])
                 else:
                     u[k] = x3
-            if opts.verbose:
-                print(f"amen sweep {sweeps} {'fwd' if forward else 'bwd'}: "
-                      f"res={rel_res:.3e} ranks={TtTensor(u).ranks}")
-        rel_res, _ = current_residual()
-        converged = rel_res <= eps
+            log.debug(
+                "amen sweep %d %s: res=%.3e ranks=%s banded=%d pcg=%d cg_iters=%d",
+                sweeps, "fwd" if forward else "bwd", rel_res, TtTensor(u).ranks,
+                n_banded, n_pcg, cg_iters,
+            )
+        else:
+            rel_res, diff = current_residual()
+            converged = rel_res <= eps
 
     if rel_res > best[1]:
         u, rel_res = best

@@ -52,6 +52,27 @@ class TestSolveCommand:
         )
         assert main(["solve", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize(
+        "solver",
+        [{"direct_solve_max": 10}, {"direct_solve_maxx": 10}, {"verbose": True},
+         {"kick_rank": "x"}, {"max_sweeps": 0}, {"initial": 1}],
+    )
+    def test_bad_solver_option_rejected(self, tmp_path, capsys, solver):
+        cfg = write_config(
+            tmp_path / "cfg.json", {"runs": [dict(CUBE_RUN, solver=solver)]}
+        )
+        assert main(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and next(iter(solver)) in err
+
+    def test_solver_options_applied(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"output_dir": str(tmp_path / "out"),
+             "runs": [dict(CUBE_RUN, solver={"kick_rank": 2, "max_rank": None})]},
+        )
+        assert main(["solve", "--config", str(cfg)]) == 0
+
     def test_unknown_top_level_key_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json", {"runs": [CUBE_RUN], "workers": 4}

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttiga.tensor_train import amen
 from ttiga.tensor_train import (
     AmenOptions,
     CrossOracle,
@@ -317,15 +318,132 @@ class TestAmen:
         assert not res.converged
         assert res.residual > 0
 
-    def test_cg_local_path(self):
-        rng = np.random.default_rng(35)
-        A = laplacian_tt(12)
-        f = tt_round(TtTensor.random((12, 12, 12), (2, 2), rng), 1e-14)
-        res = amen_solve(A, f, 1e-8, AmenOptions(direct_solve_max=16))
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.lists(st.integers(2, 7), min_size=2, max_size=4),
+        st.integers(1, 2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_kronecker_sum_vs_dense_solve(self, sizes, hb, seed):
+        rng = np.random.default_rng(seed)
+        d = len(sizes)
+        # diagonally dominant banded SPD terms keep cond(A) below ~20
+        terms = []
+        for n in sizes:
+            B = rng.uniform(-1.0, 1.0, (n, n))
+            B = np.triu(np.tril(B + B.T, hb), -hb)
+            np.fill_diagonal(B, np.abs(B).sum(axis=1) + 1.0)
+            terms.append(B)
+        A = None
+        for k in range(d):
+            term = TtMatrix.rank_one(
+                [terms[j] if j == k else np.eye(n) for j, n in enumerate(sizes)]
+            )
+            A = term if A is None else tt_add(A, term)
+        A = tt_round(A, 1e-14)
+        f = tt_round(TtTensor.random(tuple(sizes), (2,) * (d - 1), rng), 1e-14)
+        res = amen_solve(A, f, 1e-10)
         assert res.converged
         ref = np.linalg.solve(A.full(), f.full().ravel())
         err = np.linalg.norm(res.solution.full().ravel() - ref) / np.linalg.norm(ref)
-        assert err < 1e-7
+        assert err < 1e-8
+
+
+def random_local_system(r0, a, n, b, r1, hb, rng, spd=True):
+    """Symmetric local system sum_ab phiL_a (x) M_ab (x) phiR_b and its
+    explicit (x, i, z)-ordered matrix; term (0, 0) carries a shift that
+    makes it positive definite or indefinite."""
+    def sym(m):
+        X = rng.standard_normal((m, m))
+        return X + X.T
+
+    phiL = np.stack([np.eye(r0)] + [sym(r0) for _ in range(a - 1)], axis=1)
+    phiR = np.stack([np.eye(r1)] + [sym(r1) for _ in range(b - 1)], axis=1)
+    M = np.zeros((a, n, n, b))
+    for i in range(a):
+        for j in range(b):
+            M[i, :, :, j] = np.triu(np.tril(sym(n), hb), -hb)
+
+    def dense():
+        B = np.einsum("xay,aijb,zbw->xizyjw", phiL, M, phiR)
+        return B.reshape(r0 * n * r1, r0 * n * r1)
+
+    ev = np.linalg.eigvalsh(dense())
+    shift = 1.0 - ev[0] if spd else -np.median(ev) + 0.5
+    M[0, :, :, 0] += shift * np.eye(n)
+    return phiL, M, phiR, dense()
+
+
+class TestLocalSolve:
+    @pytest.mark.parametrize(
+        "r0,a,b,r1",
+        [(1, 1, 2, 3), (3, 2, 1, 1), (1, 2, 3, 2), (2, 3, 2, 1), (1, 2, 2, 1)],
+        ids=["left-edge", "right-edge", "rank1-left", "rank1-right", "rank1-both"],
+    )
+    def test_banded_matches_dense(self, r0, a, b, r1):
+        rng = np.random.default_rng(50 + r0 + 3 * r1 + 7 * a)
+        phiL, M, phiR, B = random_local_system(r0, a, 9, b, r1, 2, rng)
+        sys_ = amen._LocalSystem(phiL, amen._OpCore(M), phiR)
+        rhs3 = rng.standard_normal(sys_.shape3)
+        x3, iters = sys_.solve(rhs3, None, 1e-3, 100)
+        assert iters is None
+        ref = np.linalg.solve(B, rhs3.ravel())
+        assert np.linalg.norm(x3.ravel() - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert np.allclose(sys_.matvec3(x3).ravel(), B @ x3.ravel())
+
+    def test_non_spd_band_falls_back(self, monkeypatch):
+        rng = np.random.default_rng(60)
+        phiL, M, phiR, B = random_local_system(1, 2, 8, 2, 3, 1, rng, spd=False)
+        assert np.linalg.eigvalsh(B)[0] < 0
+        calls = []
+        orig = amen.sla.solve_banded
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(amen.sla, "solve_banded", counting)
+        sys_ = amen._LocalSystem(phiL, amen._OpCore(M), phiR)
+        rhs3 = rng.standard_normal(sys_.shape3)
+        x3, _ = sys_.solve(rhs3, None, 1e-3, 100)
+        assert calls == [1]
+        ref = np.linalg.solve(B, rhs3.ravel())
+        assert np.linalg.norm(x3.ravel() - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_pcg_middle_core(self):
+        rng = np.random.default_rng(61)
+        r0, n, r1 = 3, 10, 2
+        phiL, M, phiR, B = random_local_system(r0, 2, n, 3, r1, 2, rng)
+        sys_ = amen._LocalSystem(phiL, amen._OpCore(M), phiR)
+        # the preconditioner band holds exactly the (x, z) diagonal blocks
+        ab = sys_.block_jacobi_band().reshape(3, r0, r1, n)
+        Bt = B.reshape(r0, n, r1, r0, n, r1)
+        for x in range(r0):
+            for z in range(r1):
+                blk = Bt[x, :, z, x, :, z]
+                for m in range(3):
+                    assert np.allclose(ab[m, x, z, : n - m], np.diagonal(blk, -m))
+        rhs3 = rng.standard_normal(sys_.shape3)
+        x3, iters = sys_.solve(rhs3, None, 1e-12, 500)
+        assert iters is not None and iters > 0
+        ref = np.linalg.solve(B, rhs3.ravel())
+        assert np.linalg.norm(x3.ravel() - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.data())
+    def test_rank_search_finds_smallest_passing(self, top, data):
+        answer = data.draw(st.integers(1, top))
+        guess = data.draw(st.integers(0, top + 2))
+        probes = []
+
+        def passes(q):
+            probes.append(q)
+            return q >= answer
+
+        assert amen._first_passing(passes, top, guess) == answer
+        assert top not in probes
+        if guess == answer and 1 < answer < top:
+            assert len(probes) == 2
 
 
 class TestSerialization:
