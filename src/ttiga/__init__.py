@@ -2,7 +2,7 @@
 
 Subpackages and modules:
 
-* :mod:`ttiga.splines` -- B-spline/NURBS bases, knot insertion, refinement.
+* :mod:`ttiga.splines` -- B-spline/NURBS bases and their vectorized evaluation.
 * :mod:`ttiga.geometry` -- exact NURBS patches for the benchmark solids.
 * :mod:`ttiga.tensor_train` -- TT arithmetic, rounding, cross, AMEn solver.
 * :mod:`ttiga.assembly` -- TT Galerkin stiffness/load assembly, Dirichlet

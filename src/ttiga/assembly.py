@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import GeometryPatch, GridEvaluator
-from .splines import Basis1D, eval_basis, greville_points, tabulate
+from .splines import Basis1D, basis_windows, greville_points, tabulate
 from .tensor_train import (
     CrossOracle,
     CrossResult,
@@ -122,15 +122,7 @@ def build_quadrature(solution_bases, n_gauss=None) -> Discretization:
             wts.append(0.5 * (b - a) * ref_w)
         pts = np.concatenate(pts)
         wts = np.concatenate(wts)
-        p = basis.degree
-        starts = np.empty(pts.size, dtype=np.intp)
-        vals = np.empty((pts.size, p + 1))
-        ders = np.empty((pts.size, p + 1))
-        for q, x in enumerate(pts):
-            ev = eval_basis(basis, float(x))
-            starts[q] = ev.first_index
-            vals[q] = ev.values
-            ders[q] = ev.derivs
+        starts, vals, ders = basis_windows(basis, pts)
         tables.append(_DirTables(pts, wts, starts, vals, ders))
     return Discretization(solution_bases, tuple(tables), tuple(per_dir))
 
@@ -236,26 +228,35 @@ def _contract_vector_core(core, tab: _DirTables):
 def assemble_stiffness(
     patch: GeometryPatch,
     disc: Discretization,
-    eps: float,
+    eps_cross: float,
+    eps_round: float,
     rank_cap: int = 64,
     rng: np.random.Generator | None = None,
 ):
     """Assemble the stiffness operator in TT format.
 
-    Returns ``(K, info)`` where ``info`` records per-term cross errors and
-    the rounding tolerance. ``K`` covers the full coefficient space; apply
+    ``eps_cross`` is the tolerance of the nine metric crosses and
+    ``eps_round`` that of the rounding after each term is added. Returns
+    ``(K, info)`` where ``info`` records per-term cross errors and both
+    tolerances. ``K`` covers the full coefficient space; apply
     :func:`apply_dirichlet` to eliminate constrained layers.
     """
     rng = rng or np.random.default_rng()
     ev = GridEvaluator(patch, disc.quad_axes())
     scale = metric_scale(ev, rng)
-    info = {"eps": eps, "cross_errors": {}, "cross_converged": {}, "n_evals": 0}
+    info = {
+        "eps_cross": eps_cross,
+        "eps_round": eps_round,
+        "cross_errors": {},
+        "cross_converged": {},
+        "n_evals": 0,
+    }
     K = None
     for i in range(3):
         for j in range(3):
             res = cross_metric_coefficient(
-                patch, disc, i, j, eps, rank_cap=rank_cap, rng=rng, evaluator=ev,
-                scale=scale,
+                patch, disc, i, j, eps_cross, rank_cap=rank_cap, rng=rng,
+                evaluator=ev, scale=scale,
             )
             info["cross_errors"][f"R{i + 1}{j + 1}"] = res.holdout_error
             info["cross_converged"][f"R{i + 1}{j + 1}"] = res.converged
@@ -271,7 +272,7 @@ def assemble_stiffness(
                     )
                 )
             K_ij = TtMatrix(cores)
-            K = K_ij if K is None else tt_round(K + K_ij, eps)
+            K = K_ij if K is None else tt_round(K + K_ij, eps_round)
     return K, info
 
 
@@ -296,7 +297,7 @@ def assemble_load(
         _contract_vector_core(res.tensor.cores[d], disc.tables[d]) for d in range(3)
     ]
     info = {
-        "eps": eps,
+        "eps_cross": eps,
         "cross_error": res.holdout_error,
         "cross_converged": res.converged,
         "n_evals": res.n_evals,

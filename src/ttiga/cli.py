@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from .driver import (
     DriverError,
     OracleRefusedError,
     SolveConfig,
+    discretize,
     field_on_grid,
     full_grid_reference,
     solve_poisson,
@@ -30,6 +32,7 @@ from .driver import (
 from .geometry import (
     GEOMETRY_NAMES,
     GeometryError,
+    GridEvaluator,
     make_geometry,
     patch_from_json,
     patch_to_json,
@@ -231,19 +234,9 @@ def _run_label(cfg: SolveConfig, label: str | None, used: set) -> str:
 
 
 def _dump_field(cfg: SolveConfig, rep, m: int, path: Path) -> None:
-    from .assembly import build_quadrature
-    from .driver import solution_basis
-
-    patch = make_geometry(cfg.geometry, cfg.geometry_params)
-    bases = tuple(
-        solution_basis(patch.bases[d], cfg.degree[d], cfg.elements[d])
-        for d in range(3)
-    )
-    disc = build_quadrature(bases, cfg.n_gauss)
+    patch, _, disc = discretize(cfg)
     ax = np.linspace(0.0, 1.0, m)
     vals = field_on_grid(disc, rep.u, [ax, ax, ax])
-    from .geometry import GridEvaluator
-
     ev = GridEvaluator(patch, [ax, ax, ax])
     order = np.stack(
         [g.ravel(order="F") for g in np.meshgrid(*[np.arange(m)] * 3, indexing="ij")],
@@ -259,17 +252,12 @@ def _dump_field(cfg: SolveConfig, rep, m: int, path: Path) -> None:
 
 def _execute_runs(runs, out_dir: Path, jobs: int, field_samples: int):
     """Run configs (optionally in parallel), write reports, return rows."""
-
-    def one(item):
-        cfg, label = item
-        return solve_poisson(cfg)
-
-    reports = []
+    cfgs = [cfg for cfg, _ in runs]
     if jobs > 1 and len(runs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_solve_for_pool, [cfg for cfg, _ in runs]))
+            reports = list(pool.map(solve_poisson, cfgs))
     else:
-        reports = [one(item) for item in runs]
+        reports = [solve_poisson(cfg) for cfg in cfgs]
 
     used = set()
     rows = []
@@ -284,10 +272,6 @@ def _execute_runs(runs, out_dir: Path, jobs: int, field_samples: int):
     return rows, reports, ok_all
 
 
-def _solve_for_pool(cfg):
-    return solve_poisson(cfg)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -295,14 +279,12 @@ def cmd_solve(args) -> int:
     runs, out_dir, _ = load_solve_file(args.config)
     if args.out:
         out_dir = Path(args.out)
-    if args.seed is not None:
-        for cfg, _ in runs:
-            cfg.seed = args.seed
-    for cfg, _ in runs:
-        if args.eps_cross is not None:
-            cfg.eps_cross = args.eps_cross
-        if args.eps_solve is not None:
-            cfg.eps_solve = args.eps_solve
+    overrides = {
+        name: value
+        for name in ("seed", "eps_cross", "eps_solve")
+        if (value := getattr(args, name)) is not None
+    }
+    runs = [(replace(cfg, **overrides), label) for cfg, label in runs]
     rows, reports, ok = _execute_runs(runs, out_dir, args.jobs, args.field_samples)
     write_csv(out_dir / "experiment.csv", rows)
     return 0 if ok else 2
@@ -367,7 +349,7 @@ def cmd_bench(args) -> int:
                         "geometry": geometry,
                         "p": _compact((doc["degree"],)),
                         "elems": elems,
-                        "status": f"failed: {type(exc).__name__}",
+                        "status": f"failed: {type(exc).__name__}: {exc}",
                     }
                 )
     write_csv(out_dir / "bench.csv", rows, CSV_COLUMNS + ["status"])
@@ -583,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="six-geometry ladder and crossover study")
     p.add_argument("--config", required=True)
     p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("dump", help="debug dumps: basis CSV, geometry JSON, tt-info")

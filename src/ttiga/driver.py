@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +41,11 @@ from .tensor_train import (
     TtMatrix,
     TtTensor,
     amen_solve,
+    load_tt,
+    save_tt,
     tt_add,
     tt_from_full,
+    tt_info,
     tt_round,
 )
 
@@ -60,6 +63,7 @@ __all__ = [
     "compression_ratio",
     "evaluate_field",
     "solution_basis",
+    "discretize",
     "fit_slope",
 ]
 
@@ -185,6 +189,10 @@ class SolveConfig:
             raise DriverError("degrees must be at least 1")
         if any(e < 1 for e in self.elements):
             raise DriverError("need at least one element per direction")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise DriverError(
+                f"seed must be a non-negative integer, got {self.seed!r}"
+            )
         if self.source not in SOURCES:
             raise DriverError(f"unknown source {self.source!r}")
         if self.analytic is not None and self.analytic not in ANALYTIC:
@@ -203,16 +211,6 @@ class SolveConfig:
                 )
             if not ok:
                 raise DriverError(f"bad value for solver option {name}: {val!r}")
-
-    def resolve_bc(self, patch: GeometryPatch) -> "SolveConfig":
-        """Fill in the geometry's default homogeneous Dirichlet faces."""
-        if self.bc is None:
-            faces = {
-                (int(a), int(s)): FaceCondition("dirichlet", 0.0)
-                for a, s in patch.metadata.get("default_dirichlet", [])
-            }
-            self.bc = BoundarySpec(faces)
-        return self
 
 
 @dataclass
@@ -302,6 +300,29 @@ def solution_basis(geom_basis: Basis1D, degree: int, elements: int) -> Basis1D:
     return Basis1D(KnotVector(np.asarray(knots), degree), None)
 
 
+def discretize(cfg: SolveConfig):
+    """Geometry, bc-resolved config and discretization for one solve.
+
+    Returns ``(patch, cfg, disc)``. The config is a copy of ``cfg`` whose
+    ``bc`` falls back to the geometry's default homogeneous Dirichlet faces;
+    the caller's object is left unchanged.
+    """
+    patch = make_geometry(cfg.geometry, cfg.geometry_params)
+    bc = cfg.bc
+    if bc is None:
+        bc = BoundarySpec(
+            {
+                (int(a), int(s)): FaceCondition("dirichlet", 0.0)
+                for a, s in patch.metadata.get("default_dirichlet", [])
+            }
+        )
+    bases = tuple(
+        solution_basis(patch.bases[d], cfg.degree[d], cfg.elements[d])
+        for d in range(3)
+    )
+    return patch, replace(cfg, bc=bc), build_quadrature(bases, cfg.n_gauss)
+
+
 def _spawn_rngs(seed: int, n: int):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
@@ -314,9 +335,14 @@ def cache_dir() -> Path | None:
     return Path(d) if d else None
 
 
+# bump when assembly changes what an entry holds, so stale entries miss
+CACHE_FORMAT = 2
+
+
 def cache_key(cfg: SolveConfig, what: str) -> str:
-    """Content hash identifying one assembled operator or load vector."""
+    """Content hash of the inputs that assemble the operator K or the load f."""
     payload = {
+        "format": CACHE_FORMAT,
         "what": what,
         "geometry": cfg.geometry,
         "geometry_params": cfg.geometry_params,
@@ -325,47 +351,41 @@ def cache_key(cfg: SolveConfig, what: str) -> str:
         "n_gauss": cfg.n_gauss,
         "rank_cap": cfg.rank_cap,
         "eps_cross": cfg.eps_cross,
-        "eps_round": cfg.eps_round,
         "seed": cfg.seed,
     }
-    if what == "f":
+    if what == "K":
+        payload["eps_round"] = cfg.eps_round
+    else:
         payload["source"] = cfg.source
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:24]
 
 
-def _cache_load(key: str):
-    from .tensor_train import load_tt
-
+def _cached(cfg: SolveConfig, what: str, assemble):
+    """``(obj, info)`` for K or f: from the cache when it holds a readable
+    entry, else from ``assemble()``, which is then stored."""
     d = cache_dir()
     if d is None:
-        return None, None
-    path = d / f"{key}.tt"
-    manifest = d / f"{key}.json"
-    if not (path.exists() and manifest.exists()):
-        return None, None
-    try:
-        with open(manifest) as fh:
-            info = json.load(fh)
-        return load_tt(path), info
-    except (ValueError, OSError):
-        return None, None  # treat unreadable cache entries as misses
-
-
-def _cache_store(key: str, obj, info: dict) -> None:
-    from .tensor_train import save_tt, tt_info
-
-    d = cache_dir()
-    if d is None:
-        return
+        return assemble()
+    key = cache_key(cfg, what)
+    path, manifest = d / f"{key}.tt", d / f"{key}.json"
+    if path.exists() and manifest.exists():
+        try:
+            with open(manifest) as fh:
+                info = json.load(fh)
+            return load_tt(path), info
+        except (ValueError, OSError):
+            pass  # unreadable entries count as misses
+    obj, info = assemble()
     d.mkdir(parents=True, exist_ok=True)
-    save_tt(d / f"{key}.tt", obj)
+    save_tt(path, obj)
     doc = dict(info)
     doc["tt"] = tt_info(obj)
     tmp = d / f".{key}.json.tmp"
     with open(tmp, "w") as fh:
         json.dump(doc, fh, indent=2, default=str)
-    os.replace(tmp, d / f"{key}.json")
+    os.replace(tmp, manifest)
+    return obj, info
 
 
 # ---------------------------------------------------------------------------
@@ -470,35 +490,21 @@ def solve_poisson(cfg: SolveConfig) -> SolutionReport:
     """Run the full TT pipeline for one configuration."""
     timings = {}
     t0 = time.perf_counter()
-    patch = make_geometry(cfg.geometry, cfg.geometry_params)
-    cfg.resolve_bc(patch)
-    bases = tuple(
-        solution_basis(patch.bases[d], cfg.degree[d], cfg.elements[d])
-        for d in range(3)
-    )
-    disc = build_quadrature(bases, cfg.n_gauss)
+    patch, cfg, disc = discretize(cfg)
     timings["t_setup_s"] = time.perf_counter() - t0
 
     rng_K, rng_f = _spawn_rngs(cfg.seed, 2)
     t0 = time.perf_counter()
-    key_K = cache_key(cfg, "K")
-    K, k_info = _cache_load(key_K)
-    if K is None:
-        K, k_info = assemble_stiffness(
-            patch, disc, cfg.eps_round, rank_cap=cfg.rank_cap, rng=rng_K
-        )
-        _cache_store(key_K, K, k_info)
+    K, k_info = _cached(cfg, "K", lambda: assemble_stiffness(
+        patch, disc, cfg.eps_cross, cfg.eps_round, rank_cap=cfg.rank_cap, rng=rng_K
+    ))
     timings["t_assemble_K_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    key_f = cache_key(cfg, "f")
-    f, f_info = _cache_load(key_f)
-    if f is None:
-        f, f_info = assemble_load(
-            patch, disc, SOURCES[cfg.source], cfg.eps_cross,
-            rank_cap=cfg.rank_cap, rng=rng_f,
-        )
-        _cache_store(key_f, f, f_info)
+    f, f_info = _cached(cfg, "f", lambda: assemble_load(
+        patch, disc, SOURCES[cfg.source], cfg.eps_cross,
+        rank_cap=cfg.rank_cap, rng=rng_f,
+    ))
     timings["t_assemble_f_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -578,13 +584,7 @@ def full_grid_reference(cfg: SolveConfig) -> FullGridResult:
     Refuses above the dof guard: the point of the TT pipeline is precisely
     that this path stops scaling.
     """
-    patch = make_geometry(cfg.geometry, cfg.geometry_params)
-    cfg.resolve_bc(patch)
-    bases = tuple(
-        solution_basis(patch.bases[d], cfg.degree[d], cfg.elements[d])
-        for d in range(3)
-    )
-    disc = build_quadrature(bases, cfg.n_gauss)
+    patch, cfg, disc = discretize(cfg)
     sizes = disc.mode_sizes
     n_dofs = disc.n_dofs
     if n_dofs > FULL_GRID_DOF_GUARD:
@@ -596,8 +596,8 @@ def full_grid_reference(cfg: SolveConfig) -> FullGridResult:
     ev = GridEvaluator(patch, disc.quad_axes())
     tabs = disc.tables
     g = disc.n_gauss
-    n_el = tuple(len(b.knot_vector.spans()) for b in bases)
-    p1 = tuple(b.degree + 1 for b in bases)
+    n_el = tuple(len(b.knot_vector.spans()) for b in disc.solution_bases)
+    p1 = tuple(b.degree + 1 for b in disc.solution_bases)
     source = SOURCES[cfg.source]
 
     rows_acc, cols_acc, vals_acc = [], [], []

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .splines import Basis1D, KnotVector, eval_basis
+from .splines import Basis1D, KnotVector, basis_windows
 
 __all__ = [
     "GeometryError",
@@ -97,54 +97,17 @@ class GeometryPatch:
 
     def eval_point(self, xi) -> np.ndarray:
         """Physical coordinates of the parametric point ``xi``."""
-        num, den, _, _ = _local_terms(self, xi)
-        return num / den
+        return GridEvaluator(self, np.reshape(xi, (3, 1))).points(_ORIGIN)[0]
 
     def eval_metric(self, xi) -> MetricSample:
         """Jacobian, determinant, and stiffness metric factor at ``xi``."""
-        num, den, dnum, dden = _local_terms(self, xi)
-        # quotient rule per parametric direction; columns of J
-        jac = (dnum * den - np.outer(num, dden)) / den**2
-        det = float(np.linalg.det(jac))
-        if abs(det) < 1e-12 * self.scale**3:
-            raise SingularMapError(f"singular geometry map at xi={tuple(xi)}")
-        inv = np.linalg.inv(jac)
-        metric = inv @ inv.T * det
-        metric = 0.5 * (metric + metric.T)
-        return MetricSample(jac, det, metric)
+        ev = GridEvaluator(self, np.reshape(xi, (3, 1)))
+        jac, _ = ev.jacobians(_ORIGIN)
+        det, metric = ev._metric_of(jac, _ORIGIN)
+        return MetricSample(jac[0], float(det[0]), metric[0])
 
 
-def _local_terms(patch: GeometryPatch, xi):
-    """Numerator/denominator of the rational map and their xi-derivatives.
-
-    Only the (p_d + 1)^3 active basis functions are touched.
-    """
-    evs = [eval_basis(b, float(x)) for b, x in zip(patch.bases, xi)]
-    sl = tuple(
-        slice(ev.first_index, ev.first_index + ev.values.size) for ev in evs
-    )
-    w = patch.weights[sl]
-    wp = w[..., None] * patch.control_points[sl]
-    v1, v2, v3 = (ev.values for ev in evs)
-    d1, d2, d3 = (ev.derivs for ev in evs)
-    den = np.einsum("a,b,c,abc->",  v1, v2, v3, w)
-    num = np.einsum("a,b,c,abcx->x",  v1, v2, v3, wp)
-    dden = np.array(
-        [
-            np.einsum("a,b,c,abc->",  d1, v2, v3, w),
-            np.einsum("a,b,c,abc->",  v1, d2, v3, w),
-            np.einsum("a,b,c,abc->",  v1, v2, d3, w),
-        ]
-    )
-    dnum = np.stack(
-        [
-            np.einsum("a,b,c,abcx->x",  d1, v2, v3, wp),
-            np.einsum("a,b,c,abcx->x",  v1, d2, v3, wp),
-            np.einsum("a,b,c,abcx->x",  v1, v2, d3, wp),
-        ],
-        axis=1,
-    )
-    return num, den, dnum, dden
+_ORIGIN = np.zeros((1, 3), dtype=np.intp)  # the one point of a 1x1x1 grid
 
 
 class GridEvaluator:
@@ -159,18 +122,10 @@ class GridEvaluator:
     def __init__(self, patch: GeometryPatch, axes_points):
         self.patch = patch
         self.axes_points = [np.asarray(a, dtype=float) for a in axes_points]
-        self._win = []
-        for basis, pts in zip(patch.bases, self.axes_points):
-            p = basis.degree
-            starts = np.empty(pts.size, dtype=np.intp)
-            vals = np.empty((pts.size, p + 1))
-            ders = np.empty((pts.size, p + 1))
-            for q, x in enumerate(pts):
-                ev = eval_basis(basis, float(x))
-                starts[q] = ev.first_index
-                vals[q] = ev.values
-                ders[q] = ev.derivs
-            self._win.append((starts, vals, ders))
+        self._win = [
+            basis_windows(basis, pts)
+            for basis, pts in zip(patch.bases, self.axes_points)
+        ]
         self._wp = patch.weights[..., None] * patch.control_points
         self._sing_tol = 1e-12 * patch.scale**3
 
@@ -247,6 +202,14 @@ class GridEvaluator:
     def metric(self, idx):
         """Determinants (N,) and metric factors (N, 3, 3) for ``idx``."""
         jac, _ = self.jacobians(idx)
+        return self._metric_of(jac, idx)
+
+    def _metric_of(self, jac, idx):
+        """Determinants and metric factors of the Jacobians ``jac`` at ``idx``.
+
+        Raises :class:`SingularMapError` where |det J| falls below the
+        singularity threshold.
+        """
         det = np.linalg.det(jac)
         bad = np.abs(det) < self._sing_tol
         if np.any(bad):

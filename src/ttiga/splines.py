@@ -1,4 +1,4 @@
-"""Univariate B-spline / NURBS basis evaluation and knot refinement.
+"""Univariate B-spline / NURBS basis evaluation.
 
 Conventions used throughout:
 
@@ -11,7 +11,7 @@ Conventions used throughout:
   Cox-de Boor recursion.
 
 See Piegl & Tiller, "The NURBS Book" (2nd ed.) for the underlying
-algorithms (A2.1, A2.2, A5.1).
+algorithms (A2.1, A2.2, A2.3).
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ __all__ = [
     "Basis1D",
     "BasisEval",
     "find_span",
+    "basis_windows",
     "eval_basis",
-    "insert_knot",
-    "h_refine_uniform",
     "greville_points",
     "tabulate",
 ]
@@ -143,142 +142,89 @@ class BasisEval:
         return self.span - self.values.size + 1
 
 
-def find_span(kv: KnotVector, xi: float) -> int:
-    """Index i of the knot span with knots[i] <= xi < knots[i+1].
+def _spans(kv: KnotVector, xs: np.ndarray) -> np.ndarray:
+    """Span index i with knots[i] <= x < knots[i+1] for every x in ``xs``.
 
     The right endpoint clamps into the last nonempty span so that the whole
     closed parameter interval is evaluable.
     """
-    kn, p = kv.knots, kv.degree
-    if xi < kn[0] or xi > kn[-1]:
-        raise SplineError(f"parameter {xi} outside knot range [{kn[0]}, {kn[-1]}]")
+    kn = kv.knots
+    if xs.size and (xs.min() < kn[0] or xs.max() > kn[-1]):
+        bad = xs[(xs < kn[0]) | (xs > kn[-1])][0]
+        raise SplineError(f"parameter {bad} outside knot range [{kn[0]}, {kn[-1]}]")
+    spans = np.searchsorted(kn, xs, side="right") - 1
     n = kv.n_basis
-    if xi >= kn[n]:  # right-endpoint clamp
-        i = n - 1
-        while kn[i] == kn[i + 1]:
-            i -= 1
-        return i
-    return int(np.searchsorted(kn, xi, side="right") - 1)
+    last = n - 1
+    while kn[last] == kn[last + 1]:
+        last -= 1
+    spans[xs >= kn[n]] = last  # right-endpoint clamp
+    return spans
 
 
-def _bspline_values_derivs(kn: np.ndarray, p: int, span: int, xi: float):
-    """Nonzero B-spline values and first derivatives at xi (A2.2 + A2.3).
+def find_span(kv: KnotVector, xi: float) -> int:
+    """Index i of the knot span with knots[i] <= xi < knots[i+1]."""
+    return int(_spans(kv, np.array([float(xi)]))[0])
 
-    Repeated-knot denominators never occur for a valid span with the
-    triangular scheme below; degree-(p-1) values feed the derivative formula.
+
+def basis_windows(basis: Basis1D, xs):
+    """Nonzero basis values and first derivatives at every point of ``xs``.
+
+    Returns ``(starts, vals, ders)``: ``starts[q]`` is the index of the first
+    of the degree+1 basis functions active at ``xs[q]``, and ``vals[q]``,
+    ``ders[q]`` hold their values and derivatives. The triangular Cox-de
+    Boor scheme (A2.2) runs over all points at once, and the degree-(p-1)
+    row feeds the derivative formula (A2.3). Repeated-knot denominators
+    never occur in the triangle for a valid span; the derivative terms drop
+    them. Rational (NURBS) bases apply the quotient rule against the weight
+    sum W(xi).
     """
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
-    N = np.ones(1)
-    N_pm1 = np.ones(1)  # degree p-1 values, kept from the previous row
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    kv = basis.knot_vector
+    kn, p = kv.knots, kv.degree
+    span = _spans(kv, xs)
+    m = xs.size
+    left = np.empty((m, p + 1))
+    right = np.empty((m, p + 1))
+    N = np.ones((m, 1))
     for j in range(1, p + 1):
-        left[j] = xi - kn[span + 1 - j]
-        right[j] = kn[span + j] - xi
+        left[:, j] = xs - kn[span + 1 - j]
+        right[:, j] = kn[span + j] - xs
         if j == p:
-            N_pm1 = N.copy()
-        saved = 0.0
-        N_next = np.empty(j + 1)
+            N_pm1 = N  # degree p-1 values, kept for the derivatives
+        saved = np.zeros(m)
+        N_next = np.empty((m, j + 1))
         for r in range(j):
-            den = right[r + 1] + left[j - r]
-            temp = N[r] / den if den != 0.0 else 0.0
-            N_next[r] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        N_next[j] = saved
+            den = right[:, r + 1] + left[:, j - r]
+            temp = np.divide(N[:, r], den, out=np.zeros(m), where=den != 0.0)
+            N_next[:, r] = saved + right[:, r + 1] * temp
+            saved = left[:, j - r] * temp
+        N_next[:, j] = saved
         N = N_next
-    derivs = np.zeros(p + 1)
+    ders = np.zeros((m, p + 1))
     if p > 0:
         for j in range(p + 1):
             i = span - p + j
-            acc = 0.0
             if j > 0:  # term p/(kn[i+p]-kn[i]) * N_{i}^{p-1}
                 den = kn[i + p] - kn[i]
-                if den != 0.0:
-                    acc += p / den * N_pm1[j - 1]
+                c = np.divide(p, den, out=np.zeros(m), where=den != 0.0)
+                ders[:, j] += c * N_pm1[:, j - 1]
             if j < p:  # term -p/(kn[i+p+1]-kn[i+1]) * N_{i+1}^{p-1}
                 den = kn[i + p + 1] - kn[i + 1]
-                if den != 0.0:
-                    acc -= p / den * N_pm1[j]
-            derivs[j] = acc
-    return N, derivs
+                c = np.divide(p, den, out=np.zeros(m), where=den != 0.0)
+                ders[:, j] -= c * N_pm1[:, j]
+    starts = span - p
+    if basis.weights is None:
+        return starts, N, ders
+    w = basis.weights[starts[:, None] + np.arange(p + 1)]
+    W = np.einsum("qa,qa->q", N, w)[:, None]
+    dW = np.einsum("qa,qa->q", ders, w)[:, None]
+    return starts, N * w / W, (ders * w * W - N * w * dW) / W**2
 
 
 def eval_basis(basis: Basis1D, xi: float) -> BasisEval:
-    """Evaluate the degree+1 nonzero basis functions and derivatives at xi.
-
-    Rational (NURBS) values use the quotient rule against the weight sum
-    W(xi); polynomial B-splines are returned directly.
-    """
-    kv = basis.knot_vector
-    span = find_span(kv, xi)
-    vals, ders = _bspline_values_derivs(kv.knots, kv.degree, span, xi)
-    if basis.weights is None:
-        return BasisEval(span, vals, ders)
-    w = basis.weights[span - kv.degree: span + 1]
-    W = vals @ w
-    dW = ders @ w
-    rvals = vals * w / W
-    rders = (ders * w * W - vals * w * dW) / W**2
-    return BasisEval(span, rvals, rders)
-
-
-def insert_knot(basis: Basis1D, controls: np.ndarray, xi_new: float):
-    """Insert one knot; the represented curve/volume is unchanged (Boehm).
-
-    ``controls`` has shape (n_basis, ...) and is refined alongside the
-    basis. Rational bases are processed in homogeneous coordinates so the
-    insertion stays exact.
-
-    Returns the refined ``(Basis1D, controls)`` pair.
-    """
-    kv = basis.knot_vector
-    kn, p = kv.knots, kv.degree
-    if not (kn[0] < xi_new < kn[-1]):
-        raise SplineError("new knot must lie strictly inside the knot range")
-    mult = int(np.count_nonzero(kn == xi_new))
-    if mult >= p:
-        raise SplineError(
-            f"inserting {xi_new} would raise interior multiplicity above degree {p}"
-        )
-    controls = np.asarray(controls, dtype=float)
-    if controls.shape[0] != kv.n_basis:
-        raise SplineError("control count must equal basis count")
-
-    if basis.weights is not None:
-        w = basis.weights
-        flat = controls.reshape(controls.shape[0], -1)
-        homog = np.concatenate([flat * w[:, None], w[:, None]], axis=1)
-        new_basis, new_homog = insert_knot(Basis1D(kv, None), homog, xi_new)
-        new_w = new_homog[:, -1]
-        new_controls = (new_homog[:, :-1] / new_w[:, None]).reshape(
-            (new_w.size,) + controls.shape[1:]
-        )
-        return Basis1D(new_basis.knot_vector, new_w), new_controls
-
-    k = find_span(kv, xi_new)
-    new_kn = np.insert(kn, k + 1, xi_new)
-    n = kv.n_basis
-    new_controls = np.empty((n + 1,) + controls.shape[1:])
-    new_controls[: k - p + 1] = controls[: k - p + 1]
-    new_controls[k + 1:] = controls[k:]
-    for i in range(k - p + 1, k + 1):
-        den = kn[i + p] - kn[i]
-        alpha = (xi_new - kn[i]) / den if den != 0.0 else 0.0
-        new_controls[i] = alpha * controls[i] + (1.0 - alpha) * controls[i - 1]
-    return Basis1D(KnotVector(new_kn, p), None), new_controls
-
-
-def h_refine_uniform(basis: Basis1D, controls: np.ndarray, levels: int):
-    """Bisect every nonempty span, ``levels`` times; geometry-invariant."""
-    if levels < 0:
-        raise SplineError("levels must be non-negative")
-    for _ in range(levels):
-        kn = basis.knot_vector.knots
-        mids = [
-            0.5 * (kn[i] + kn[i + 1]) for i in basis.knot_vector.spans()
-        ]
-        for m in mids:
-            basis, controls = insert_knot(basis, controls, m)
-    return basis, controls
+    """Evaluate the degree+1 nonzero basis functions and derivatives at xi."""
+    starts, vals, ders = basis_windows(basis, float(xi))
+    return BasisEval(int(starts[0]) + basis.degree, vals[0], ders[0])
 
 
 def greville_points(kv: KnotVector) -> np.ndarray:
@@ -297,14 +243,11 @@ def tabulate(basis: Basis1D, xis: np.ndarray):
     Returns ``(values, derivs)`` with shape (len(xis), n_basis); entries
     outside the local support window are zero.
     """
-    xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    n = basis.n_basis
-    p = basis.degree
-    V = np.zeros((xis.size, n))
-    D = np.zeros((xis.size, n))
-    for row, xi in enumerate(xis):
-        ev = eval_basis(basis, xi)
-        i0 = ev.first_index
-        V[row, i0: i0 + p + 1] = ev.values
-        D[row, i0: i0 + p + 1] = ev.derivs
+    starts, vals, ders = basis_windows(basis, xis)
+    rows = np.arange(starts.size)[:, None]
+    cols = starts[:, None] + np.arange(basis.degree + 1)
+    V = np.zeros((starts.size, basis.n_basis))
+    D = np.zeros((starts.size, basis.n_basis))
+    V[rows, cols] = vals
+    D[rows, cols] = ders
     return V, D

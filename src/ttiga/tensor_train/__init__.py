@@ -6,7 +6,6 @@ from .core import (
     TtShapeError,
     TtTensor,
     tt_add,
-    tt_dot,
     tt_from_full,
     tt_matrix_from_full,
     tt_matvec,
@@ -34,7 +33,6 @@ __all__ = [
     "save_tt",
     "tt_add",
     "tt_cross",
-    "tt_dot",
     "tt_from_full",
     "tt_info",
     "tt_matrix_from_full",

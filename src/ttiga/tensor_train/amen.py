@@ -33,7 +33,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import TtMatrix, TtTensor, tt_matvec, tt_norm, tt_round, tt_sub
+from .core import TtMatrix, TtTensor, _orth_sweep, tt_matvec, tt_norm, tt_round, tt_sub
 
 __all__ = ["AmenOptions", "AmenResult", "amen_solve"]
 
@@ -125,17 +125,6 @@ def _env_left_vec(phi, U, F):
 
 def _env_right_vec(phi, U, F):
     return np.einsum("vf,ziv,cif->zc", phi, U, F, optimize=True)
-
-
-def _right_orthogonalize(cores):
-    """QR sweep leaving the orthogonality center at core 0."""
-    cores = [G.copy() for G in cores]
-    for k in range(len(cores) - 1, 0, -1):
-        r0, n, r1 = cores[k].shape
-        Q, R = np.linalg.qr(cores[k].reshape(r0, n * r1).T)
-        cores[k] = Q.T.reshape(-1, n, r1)
-        cores[k - 1] = np.tensordot(cores[k - 1], R.T, axes=([2], [0]))
-    return cores
 
 
 def _banded_solver(ab: np.ndarray):
@@ -335,7 +324,7 @@ def amen_solve(
         u = [G.copy() for G in opts.initial.cores]
     else:
         u = [G.copy() for G in tt_round(f, 0.5, max_rank=2).cores]
-    u = _right_orthogonalize(u)
+    u = _orth_sweep(u)
 
     def current_residual():
         diff = tt_sub(f, tt_matvec(A, TtTensor(u)))

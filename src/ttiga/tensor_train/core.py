@@ -22,7 +22,6 @@ __all__ = [
     "tt_add",
     "tt_sub",
     "tt_scale",
-    "tt_dot",
     "tt_norm",
     "tt_matvec",
     "tt_round",
@@ -291,37 +290,30 @@ def tt_scale(a, c: float):
     return _from_vector_view(cores, tag)
 
 
-def tt_dot(a: TtTensor, b: TtTensor) -> float:
-    """Inner product by exact chain contraction."""
-    if a.mode_sizes != b.mode_sizes:
-        raise TtShapeError("tensor mode sizes differ")
-    v = np.ones((1, 1))
-    for Ga, Gb in zip(a.cores, b.cores):
-        v = np.einsum("ab,aic,bid->cd", v, Ga, Gb, optimize=True)
-    return float(v[0, 0])
+def _orth_sweep(cores):
+    """Right-to-left QR sweep over vector-view cores.
 
-
-def tt_norm(a) -> float:
-    """Frobenius norm, computed through an orthogonalization sweep.
-
-    Unlike ``sqrt(tt_dot(a, a))`` this does not suffer cancellation when the
-    represented tensor is small relative to its cores, which matters for
-    residual certificates.
+    Returns new cores whose cores 1..d-1 are right-orthonormal, so the
+    first core carries the whole Frobenius norm.
     """
-    cores, _ = _to_vector_view(a)
-    cores = [G.copy() for G in cores]
-    nrm = 1.0
+    cores = list(cores)
     for k in range(len(cores) - 1, 0, -1):
         r0, n, r1 = cores[k].shape
         Q, R = np.linalg.qr(cores[k].reshape(r0, n * r1).T)
         cores[k] = Q.T.reshape(-1, n, r1)
         cores[k - 1] = np.tensordot(cores[k - 1], R.T, axes=([2], [0]))
-        # keep intermediate magnitudes tame for long chains
-        s = np.linalg.norm(cores[k - 1])
-        if s > 0:
-            cores[k - 1] /= s
-            nrm *= s
-    return float(nrm * np.linalg.norm(cores[0]))
+    return cores
+
+
+def tt_norm(a) -> float:
+    """Frobenius norm, computed through an orthogonalization sweep.
+
+    Unlike the square root of a chain-contracted inner product, this does
+    not suffer cancellation when the represented tensor is small relative
+    to its cores, which matters for residual certificates.
+    """
+    cores, _ = _to_vector_view(a)
+    return float(np.linalg.norm(_orth_sweep(cores)[0]))
 
 
 def tt_matvec(A: TtMatrix, x: TtTensor) -> TtTensor:
@@ -361,17 +353,9 @@ def tt_round(t, eps: float, max_rank: int | None = None):
         raise ValueError("eps must be positive")
     cores, tag = _to_vector_view(t)
     d = len(cores)
-    cores = [G.copy() for G in cores]
     if d == 1:
-        return _from_vector_view(cores, tag)
-
-    # right-to-left orthogonalization
-    for k in range(d - 1, 0, -1):
-        r0, n, r1 = cores[k].shape
-        Q, R = np.linalg.qr(cores[k].reshape(r0, n * r1).T)
-        cores[k] = Q.T.reshape(-1, n, r1)
-        cores[k - 1] = np.tensordot(cores[k - 1], R.T, axes=([2], [0]))
-
+        return _from_vector_view([G.copy() for G in cores], tag)
+    cores = _orth_sweep(cores)
     total = np.linalg.norm(cores[0])
     if total == 0.0:
         zero = [np.zeros((1, G.shape[1], 1)) for G in cores]

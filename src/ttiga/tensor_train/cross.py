@@ -32,15 +32,6 @@ class CrossOracle:
     fn: Callable[[np.ndarray], np.ndarray]
     mode_sizes: tuple
 
-    @staticmethod
-    def from_scalar(fn, mode_sizes) -> "CrossOracle":
-        """Wrap a one-index-at-a-time callable."""
-
-        def batched(idx):
-            return np.array([fn(tuple(row)) for row in np.asarray(idx)])
-
-        return CrossOracle(batched, tuple(mode_sizes))
-
 
 @dataclass
 class CrossResult:

@@ -51,16 +51,19 @@ def load_tt(path):
         raw = fh.read()
     if raw[:4] != _MAGIC:
         raise ValueError("not a TT container (bad magic)")
-    kind, d = struct.unpack_from("<BB", raw, 4)
-    off = 6
-    rows = struct.unpack_from(f"<{d}I", raw, off)
-    off += 4 * d
-    cols = None
-    if kind == 1:
-        cols = struct.unpack_from(f"<{d}I", raw, off)
+    try:
+        kind, d = struct.unpack_from("<BB", raw, 4)
+        off = 6
+        rows = struct.unpack_from(f"<{d}I", raw, off)
         off += 4 * d
-    ranks = struct.unpack_from(f"<{d + 1}I", raw, off)
-    off += 4 * (d + 1)
+        cols = None
+        if kind == 1:
+            cols = struct.unpack_from(f"<{d}I", raw, off)
+            off += 4 * d
+        ranks = struct.unpack_from(f"<{d + 1}I", raw, off)
+        off += 4 * (d + 1)
+    except struct.error as exc:
+        raise ValueError(f"truncated TT container header: {exc}") from exc
     cores = []
     for k in range(d):
         n_entries = ranks[k] * rows[k] * (cols[k] if cols else 1) * ranks[k + 1]

@@ -22,10 +22,10 @@ from ttiga.driver import (
     SOURCES,
     OracleRefusedError,
     SolveConfig,
+    discretize,
     evaluate_field,
     fit_slope,
     full_grid_reference,
-    solution_basis,
     solve_poisson,
 )
 from ttiga.geometry import GEOMETRY_NAMES, make_geometry
@@ -105,9 +105,7 @@ def test_criterion_2_ring_convergence_and_midpoint():
         elements.append(e)
     slope = fit_slope(elements, errors)
 
-    patch = make_geometry("ring")
-    bases = tuple(solution_basis(patch.bases[d], 2, 16) for d in range(3))
-    disc = build_quadrature(bases)
+    _, _, disc = discretize(cfg)
     mid = evaluate_field(disc, rep.u, [0.3, 0.5, 0.5])
     exact = (np.log(4.0 / 3.0) + 2.0 * np.log(1.5)) / np.log(2.0)
     ok_slope = 2.7 <= slope <= 3.3
@@ -148,11 +146,9 @@ def test_criterion_3_oracle_equivalence(name):
         )
     )
 
-    patch = make_geometry(name)
-    bases = tuple(solution_basis(patch.bases[d], 2, 4) for d in range(3))
-    disc = build_quadrature(bases)
+    patch, _, disc = discretize(cfg)
     rng = np.random.default_rng(123)
-    K, _ = assemble_stiffness(patch, disc, 1e-10, rng=rng)
+    K, _ = assemble_stiffness(patch, disc, 1e-10, 1e-10, rng=rng)
     f, _ = assemble_load(patch, disc, SOURCES["sin_pi_xyz"], 1e-10, rng=rng)
 
     K_ref = ref.K.toarray()
@@ -332,7 +328,9 @@ class TestCriterion6PropertySuites:
         cube = make_geometry("unit_cube")
         basis = Basis1D(KnotVector.open_uniform(1, 1), None)
         disc = build_quadrature((basis, basis, basis))
-        K, _ = assemble_stiffness(cube, disc, 1e-12, rng=np.random.default_rng(5))
+        K, _ = assemble_stiffness(
+            cube, disc, 1e-12, 1e-12, rng=np.random.default_rng(5)
+        )
         dense = K.full()
         nodes = [(i, j, k) for i in range(2) for j in range(2) for k in range(2)]
         pattern = {0: 1 / 3, 1: 0.0, 2: -1 / 12, 3: -1 / 12}
@@ -346,11 +344,11 @@ class TestCriterion6PropertySuites:
         assert ok
 
     def test_stiffness_structure_small_mesh(self):
-        patch = make_geometry("ring")
-        bases = tuple(solution_basis(patch.bases[d], 2, 4) for d in range(3))
-        disc = build_quadrature(bases)
+        patch, _, disc = discretize(
+            SolveConfig(geometry="ring", degree=2, elements=4)
+        )
         rng = np.random.default_rng(6)
-        K, _ = assemble_stiffness(patch, disc, 1e-11, rng=rng)
+        K, _ = assemble_stiffness(patch, disc, 1e-11, 1e-11, rng=rng)
         f, _ = assemble_load(patch, disc, SOURCES["one"], 1e-11, rng=rng)
         dense = K.full()
         sym = np.linalg.norm(dense - dense.T) / np.linalg.norm(dense)

@@ -14,7 +14,7 @@ from ttiga.assembly import (
 from ttiga.geometry import make_geometry
 from ttiga.splines import Basis1D, KnotVector
 from ttiga.tensor_train import tt_matvec, tt_norm
-from ttiga.driver import solution_basis
+from ttiga.driver import SolveConfig, discretize
 
 from test_geometry import scaling_patch
 
@@ -24,11 +24,11 @@ def cube_disc(elements=1, degree=1):
     return build_quadrature((basis, basis, basis))
 
 
-def disc_for(patch, degree, elements):
-    bases = tuple(
-        solution_basis(patch.bases[d], degree, elements) for d in range(3)
+def disc_for(name, degree, elements):
+    patch, _, disc = discretize(
+        SolveConfig(geometry=name, degree=degree, elements=elements)
     )
-    return build_quadrature(bases)
+    return patch, disc
 
 
 TRILINEAR_PATTERN = {0: 1.0 / 3.0, 1: 0.0, 2: -1.0 / 12.0, 3: -1.0 / 12.0}
@@ -87,8 +87,7 @@ class TestMetricCross:
 
     @pytest.mark.parametrize("name", ["ring", "lshape"])
     def test_off_diagonal_symmetry(self, name):
-        patch = make_geometry(name)
-        disc = disc_for(patch, 2, 4)
+        patch, disc = disc_for(name, 2, 4)
         r12 = cross_metric_coefficient(
             patch, disc, 0, 1, 1e-10, rng=np.random.default_rng(2)
         )
@@ -122,7 +121,7 @@ class TestStiffness:
     def test_trilinear_element_matrix(self):
         cube = make_geometry("unit_cube")
         K, info = assemble_stiffness(
-            cube, cube_disc(), 1e-12, rng=np.random.default_rng(4)
+            cube, cube_disc(), 1e-12, 1e-12, rng=np.random.default_rng(4)
         )
         dense = K.full()
         nodes = [(i, j, k) for i in range(2) for j in range(2) for k in range(2)]
@@ -134,33 +133,36 @@ class TestStiffness:
     def test_unit_cube_ranks_small(self):
         cube = make_geometry("unit_cube")
         K, _ = assemble_stiffness(
-            cube, cube_disc(elements=3), 1e-12, rng=np.random.default_rng(5)
+            cube, cube_disc(elements=3), 1e-12, 1e-12, rng=np.random.default_rng(5)
         )
         assert all(r <= 4 for r in K.ranks)
 
     @pytest.mark.parametrize("name,degree", [("lshape", 1), ("ring", 2)])
     def test_row_sums_vanish(self, name, degree):
-        patch = make_geometry(name)
-        disc = disc_for(patch, degree, 4)
-        K, _ = assemble_stiffness(patch, disc, 1e-11, rng=np.random.default_rng(6))
+        patch, disc = disc_for(name, degree, 4)
+        K, _ = assemble_stiffness(
+            patch, disc, 1e-11, 1e-11, rng=np.random.default_rng(6)
+        )
         dense = K.full()
         scale = np.abs(dense).max()
         assert np.abs(dense.sum(axis=1)).max() <= 1e-10 * max(scale, 1.0)
 
     @pytest.mark.parametrize("name,degree", [("lshape", 1), ("ring", 2)])
     def test_symmetry_corewise_transpose(self, name, degree):
-        patch = make_geometry(name)
-        disc = disc_for(patch, degree, 4)
-        K, _ = assemble_stiffness(patch, disc, 1e-11, rng=np.random.default_rng(7))
+        patch, disc = disc_for(name, degree, 4)
+        K, _ = assemble_stiffness(
+            patch, disc, 1e-11, 1e-11, rng=np.random.default_rng(7)
+        )
         dense = K.full()
         dense_t = K.transpose().full()
         rel = np.linalg.norm(dense - dense_t) / np.linalg.norm(dense)
         assert rel <= 1e-10
 
     def test_constants_in_kernel(self):
-        patch = make_geometry("ring")
-        disc = disc_for(patch, 2, 4)
-        K, _ = assemble_stiffness(patch, disc, 1e-11, rng=np.random.default_rng(8))
+        patch, disc = disc_for("ring", 2, 4)
+        K, _ = assemble_stiffness(
+            patch, disc, 1e-11, 1e-11, rng=np.random.default_rng(8)
+        )
         from ttiga.tensor_train import TtTensor
 
         ones = TtTensor.ones(disc.mode_sizes)
@@ -168,9 +170,10 @@ class TestStiffness:
         assert tt_norm(tt_matvec(K, ones)) <= 1e-9 * knorm
 
     def test_reduced_system_positive_definite(self):
-        patch = make_geometry("lshape")
-        disc = disc_for(patch, 1, 4)
-        K, _ = assemble_stiffness(patch, disc, 1e-11, rng=np.random.default_rng(9))
+        patch, disc = disc_for("lshape", 1, 4)
+        K, _ = assemble_stiffness(
+            patch, disc, 1e-11, 1e-11, rng=np.random.default_rng(9)
+        )
         f, _ = assemble_load(
             patch, disc, lambda p: np.ones(p.shape[0]), 1e-11,
             rng=np.random.default_rng(10),
@@ -204,7 +207,9 @@ class TestDirichlet:
     def test_homogeneous_keeps_rhs(self):
         patch = make_geometry("unit_cube")
         disc = cube_disc(elements=3)
-        K, _ = assemble_stiffness(patch, disc, 1e-12, rng=np.random.default_rng(13))
+        K, _ = assemble_stiffness(
+            patch, disc, 1e-12, 1e-12, rng=np.random.default_rng(13)
+        )
         f, _ = assemble_load(
             patch, disc, lambda p: np.ones(p.shape[0]), 1e-12,
             rng=np.random.default_rng(14),
@@ -220,7 +225,9 @@ class TestDirichlet:
     def test_interior_counting(self):
         patch = make_geometry("unit_cube")
         disc = cube_disc(elements=4)  # 5 basis functions per direction
-        K, _ = assemble_stiffness(patch, disc, 1e-12, rng=np.random.default_rng(15))
+        K, _ = assemble_stiffness(
+            patch, disc, 1e-12, 1e-12, rng=np.random.default_rng(15)
+        )
         f, _ = assemble_load(
             patch, disc, lambda p: np.ones(p.shape[0]), 1e-12,
             rng=np.random.default_rng(16),
@@ -237,7 +244,9 @@ class TestDirichlet:
     def test_no_dirichlet_raises(self):
         patch = make_geometry("unit_cube")
         disc = cube_disc()
-        K, _ = assemble_stiffness(patch, disc, 1e-12, rng=np.random.default_rng(17))
+        K, _ = assemble_stiffness(
+            patch, disc, 1e-12, 1e-12, rng=np.random.default_rng(17)
+        )
         f, _ = assemble_load(
             patch, disc, lambda p: np.ones(p.shape[0]), 1e-12,
             rng=np.random.default_rng(18),
@@ -246,9 +255,10 @@ class TestDirichlet:
             apply_dirichlet(K, f, BoundarySpec({}), disc, patch)
 
     def test_lift_reproduces_constant_faces(self):
-        patch = make_geometry("ring")
-        disc = disc_for(patch, 2, 4)
-        K, _ = assemble_stiffness(patch, disc, 1e-11, rng=np.random.default_rng(19))
+        patch, disc = disc_for("ring", 2, 4)
+        K, _ = assemble_stiffness(
+            patch, disc, 1e-11, 1e-11, rng=np.random.default_rng(19)
+        )
         f, _ = assemble_load(
             patch, disc, lambda p: np.zeros(p.shape[0]), 1e-11,
             rng=np.random.default_rng(20),
@@ -266,9 +276,10 @@ class TestDirichlet:
         assert np.all(lift[:, 1:-1, :] == 0.0)
 
     def test_ring_reduced_matches_dense_elimination(self):
-        patch = make_geometry("ring")
-        disc = disc_for(patch, 2, 4)
-        K, _ = assemble_stiffness(patch, disc, 1e-11, rng=np.random.default_rng(21))
+        patch, disc = disc_for("ring", 2, 4)
+        K, _ = assemble_stiffness(
+            patch, disc, 1e-11, 1e-11, rng=np.random.default_rng(21)
+        )
         f, _ = assemble_load(
             patch, disc, lambda p: np.zeros(p.shape[0]), 1e-11,
             rng=np.random.default_rng(22),
@@ -299,7 +310,9 @@ class TestDirichlet:
     def test_adjacent_nonzero_faces_rejected(self):
         patch = make_geometry("unit_cube")
         disc = cube_disc(elements=2)
-        K, _ = assemble_stiffness(patch, disc, 1e-12, rng=np.random.default_rng(23))
+        K, _ = assemble_stiffness(
+            patch, disc, 1e-12, 1e-12, rng=np.random.default_rng(23)
+        )
         f, _ = assemble_load(
             patch, disc, lambda p: np.ones(p.shape[0]), 1e-12,
             rng=np.random.default_rng(24),

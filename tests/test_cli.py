@@ -185,6 +185,21 @@ class TestSolveCommand:
         assert report["eps_solve"] == 1e-6
         assert report["seed"] == 3
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--eps-solve", "5"), ("--eps-solve", "-1"), ("--eps-cross", "2"),
+         ("--seed", "-1")],
+    )
+    def test_bad_override_rejected(self, tmp_path, capsys, flag, value):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"output_dir": str(tmp_path / "out"), "runs": [CUBE_RUN]},
+        )
+        assert main(["solve", "--config", str(cfg), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestBenchCommand:
     def test_small_bench(self, tmp_path, monkeypatch):
@@ -228,7 +243,8 @@ class TestBenchCommand:
         rows = read_csv(tmp_path / "bench" / "bench.csv")
         assert len(rows) == 2
         assert rows[0]["status"] == "ok"
-        assert rows[1]["status"].startswith("failed")
+        assert rows[1]["status"].startswith("failed: ConfigError: ")
+        assert "at least one element" in rows[1]["status"]
 
 
 class TestDumpCommand:

@@ -1,14 +1,18 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ttiga.assembly import BoundarySpec, FaceCondition, build_quadrature
+import ttiga.driver as driver
+from ttiga.assembly import BoundarySpec, FaceCondition, assemble_stiffness
 from ttiga.driver import (
     DriverError,
     OracleRefusedError,
     SolveConfig,
+    cache_key,
     compression_ratio,
+    discretize,
     evaluate_field,
     fit_slope,
     full_grid_reference,
@@ -38,6 +42,10 @@ def ring_cfg(elements, degree=2, analytic="ring_radial"):
         bc=RING_BC,
         seed=0,
     )
+
+
+def cube_cfg(degree, elements):
+    return SolveConfig(geometry="unit_cube", degree=degree, elements=elements)
 
 
 class TestSolutionBasis:
@@ -99,18 +107,14 @@ class TestSolvePoisson:
             seed=0,
         )
         rep = solve_poisson(cfg)
-        patch = make_geometry("lshape")
-        bases = tuple(solution_basis(patch.bases[d], 1, 16) for d in range(3))
-        disc = build_quadrature(bases)
+        _, _, disc = discretize(cfg)
         ax = np.linspace(0.0, 1.0, 41)
         vals = field_on_grid(disc, rep.u, [ax, ax, ax])
         assert abs(vals.max() - 1.0 / (2 * np.pi**2)) < 2e-3
 
     def test_ring_mid_radius_value(self):
         rep = solve_poisson(ring_cfg(8))
-        patch = make_geometry("ring")
-        bases = tuple(solution_basis(patch.bases[d], 2, 8) for d in range(3))
-        disc = build_quadrature(bases)
+        _, _, disc = discretize(ring_cfg(8))
         exact = (np.log(4.0 / 3.0) + 2.0 * np.log(1.5)) / np.log(2.0)
         val = evaluate_field(disc, rep.u, [0.37, 0.5, 0.61])
         assert abs(val - exact) < 1e-4
@@ -119,6 +123,15 @@ class TestSolvePoisson:
         a = solve_poisson(ring_cfg(4)).metrics_dict()
         b = solve_poisson(ring_cfg(4)).metrics_dict()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_caller_config_keeps_bc_unset(self):
+        cfg = SolveConfig(geometry="lshape", degree=1, elements=2, source="one")
+        rep = solve_poisson(cfg)
+        _, resolved, _ = discretize(cfg)
+        assert cfg.bc is None
+        faces = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert resolved.bc.dirichlet_faces() == faces
+        assert rep.config.bc.dirichlet_faces() == faces
 
     def test_residual_certificate(self):
         cfg = SolveConfig(
@@ -130,18 +143,14 @@ class TestSolvePoisson:
         )
         rep = solve_poisson(cfg)
         # rebuild the reduced system exactly as the pipeline does
-        from ttiga.assembly import apply_dirichlet, assemble_load, assemble_stiffness
+        from ttiga.assembly import apply_dirichlet, assemble_load
         from ttiga.driver import SOURCES, _spawn_rngs
 
-        patch = make_geometry("lshape")
-        cfg2 = SolveConfig(
-            geometry="lshape", degree=1, elements=4, source="sin_pi_xy", seed=0
-        )
-        cfg2.resolve_bc(patch)
-        bases = tuple(solution_basis(patch.bases[d], 1, 4) for d in range(3))
-        disc = build_quadrature(bases)
+        patch, cfg2, disc = discretize(cfg)
         rng_K, rng_f = _spawn_rngs(0, 2)
-        K, _ = assemble_stiffness(patch, disc, cfg2.eps_round, rng=rng_K)
+        K, _ = assemble_stiffness(
+            patch, disc, cfg2.eps_cross, cfg2.eps_round, rng=rng_K
+        )
         f, _ = assemble_load(
             patch, disc, SOURCES["sin_pi_xy"], cfg2.eps_cross, rng=rng_f
         )
@@ -150,6 +159,51 @@ class TestSolvePoisson:
         u_int = TtTensor([G[:, s, :] for G, s in zip(rep.u.cores, sl)])
         res = tt_norm(tt_sub(system.f, tt_matvec(system.K, u_int))) / tt_norm(system.f)
         assert abs(res - rep.residual) <= 1e-10
+
+    def test_eps_cross_reaches_stiffness_crosses(self, monkeypatch):
+        infos = []
+
+        def recording(*args, **kwargs):
+            K, info = assemble_stiffness(*args, **kwargs)
+            infos.append(info)
+            return K, info
+
+        monkeypatch.setattr(driver, "assemble_stiffness", recording)
+        for eps_cross in (1e-10, 1e-3):
+            solve_poisson(
+                SolveConfig(
+                    geometry="quarter_torus", degree=1, elements=4, seed=0,
+                    source="one", eps_cross=eps_cross,
+                )
+            )
+        fine, coarse = (info["cross_errors"] for info in infos)
+        assert infos[1]["eps_cross"] == 1e-3 and infos[1]["eps_round"] == 1e-10
+        assert max(coarse.values()) > 1e-8 > max(fine.values())
+
+    def test_cache_keys_read_only_their_inputs(self):
+        base = SolveConfig(geometry="ring", source="one")
+        for what, ignored, used in (
+            ("K", {"source": "zero"}, {"eps_round": 1e-9}),
+            ("f", {"eps_round": 1e-9}, {"source": "zero"}),
+        ):
+            key = cache_key(base, what)
+            assert cache_key(replace(base, **ignored), what) == key
+            assert cache_key(replace(base, **used), what) != key
+            assert cache_key(replace(base, eps_cross=1e-9), what) != key
+
+    @pytest.mark.parametrize("cut", ["header", "cores"])
+    def test_truncated_cache_entry_is_a_miss(self, tmp_path, monkeypatch, cut):
+        monkeypatch.setenv("TTIGA_CACHE_DIR", str(tmp_path))
+        cfg = SolveConfig(geometry="unit_cube", degree=1, elements=2, source="one")
+        first = solve_poisson(cfg).metrics_dict()
+        entries = sorted(tmp_path.glob("*.tt"))
+        assert len(entries) == 2
+        sizes = [path.stat().st_size for path in entries]
+        for path, size in zip(entries, sizes):
+            keep = 20 if cut == "header" else size - 8
+            path.write_bytes(path.read_bytes()[:keep])
+        assert solve_poisson(cfg).metrics_dict() == first
+        assert [path.stat().st_size for path in entries] == sizes
 
     def test_invalid_configs(self):
         with pytest.raises(DriverError):
@@ -164,9 +218,7 @@ class TestL2Error:
     def test_self_error_is_zero(self):
         # on the unit cube physical and parametric points coincide, so the
         # spline field itself can act as the analytic reference
-        patch = make_geometry("unit_cube")
-        bases = tuple(solution_basis(patch.bases[d], 2, 4) for d in range(3))
-        disc = build_quadrature(bases)
+        patch, _, disc = discretize(cube_cfg(2, 4))
         rng = np.random.default_rng(5)
         u = TtTensor.random(disc.mode_sizes, (2, 2), rng)
 
@@ -176,9 +228,7 @@ class TestL2Error:
         assert l2_error(u, field_fn, patch, disc) <= 1e-12
 
     def test_doubling_gives_unit_error(self):
-        patch = make_geometry("unit_cube")
-        bases = tuple(solution_basis(patch.bases[d], 2, 4) for d in range(3))
-        disc = build_quadrature(bases)
+        patch, _, disc = discretize(cube_cfg(2, 4))
         rng = np.random.default_rng(6)
         u = TtTensor.random(disc.mode_sizes, (2, 2), rng)
 
@@ -191,9 +241,7 @@ class TestL2Error:
         assert abs(err - 1.0) <= 1e-12
 
     def test_zero_reference_rejected(self):
-        patch = make_geometry("unit_cube")
-        bases = tuple(solution_basis(patch.bases[d], 1, 2) for d in range(3))
-        disc = build_quadrature(bases)
+        patch, _, disc = discretize(cube_cfg(1, 2))
         u = TtTensor.ones(disc.mode_sizes)
         with pytest.raises(DriverError):
             l2_error(u, lambda pts: np.zeros(pts.shape[0]), patch, disc)

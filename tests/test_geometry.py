@@ -160,6 +160,7 @@ class TestMetric:
 
 class TestGridEvaluator:
     def test_matches_pointwise(self):
+        """eval_point/eval_metric are one-row calls of the grid evaluator."""
         patch = make_geometry("hyperboloid")
         axes = [np.linspace(0.05, 0.95, 6)] * 3
         ev = GridEvaluator(patch, axes)
@@ -170,10 +171,10 @@ class TestGridEvaluator:
         for k in range(64):
             xi = np.array([axes[d][idx[k, d]] for d in range(3)])
             m = patch.eval_metric(xi)
-            assert np.allclose(jac[k], m.jacobian, atol=1e-12)
-            assert np.allclose(pts[k], patch.eval_point(xi), atol=1e-13)
-            assert abs(det[k] - m.det) < 1e-12
-            assert np.allclose(metric[k], m.metric, atol=1e-12)
+            assert np.array_equal(jac[k], m.jacobian)
+            assert np.array_equal(pts[k], patch.eval_point(xi))
+            assert det[k] == m.det
+            assert np.array_equal(metric[k], m.metric)
 
 
 def test_json_round_trip():

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import BSpline
 
 from ttiga.splines import (
     Basis1D,
     KnotVector,
     SplineError,
+    basis_windows,
     eval_basis,
     find_span,
     greville_points,
-    h_refine_uniform,
-    insert_knot,
     tabulate,
 )
 
@@ -113,101 +113,54 @@ class TestEvalBasis:
             assert np.allclose(ev.derivs, fd, atol=1e-6 * scale)
 
 
-def sample_curve(basis, controls, ts):
-    pts = []
-    for t in ts:
-        ev = eval_basis(basis, float(t))
-        sl = slice(ev.first_index, ev.first_index + ev.values.size)
-        pts.append(ev.values @ controls[sl])
-    return np.array(pts)
+@st.composite
+def clamped_bases(draw):
+    """Clamped knot vectors on [0, 1] with interior multiplicities up to p."""
+    p = draw(st.integers(1, 4))
+    interior = draw(st.lists(st.integers(1, 15), max_size=6, unique=True))
+    knots = [0.0] * (p + 1)
+    for k in sorted(interior):
+        knots += [k / 16.0] * draw(st.integers(1, p))
+    knots += [1.0] * (p + 1)
+    return Basis1D(KnotVector(np.array(knots), p), None)
 
 
-class TestInsertKnot:
-    def test_straight_segment_invariant(self):
-        basis = Basis1D(KnotVector(np.array([0, 0, 0, 1, 1, 1.0]), 2), None)
-        controls = np.linspace([0.0, 0.0], [2.0, 1.0], 3)
-        refined, ctrl2 = insert_knot(basis, controls, 0.5)
-        ts = np.linspace(0, 1, 101)
-        before = sample_curve(basis, controls, ts)
-        after = sample_curve(refined, ctrl2, ts)
-        assert refined.n_basis == basis.n_basis + 1
-        assert np.abs(before - after).max() < 1e-12
-
-    def test_double_insertion(self):
-        basis = Basis1D(KnotVector(np.array([0, 0, 0, 1, 1, 1.0]), 2), None)
-        controls = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 0.0]])
-        b1, c1 = insert_knot(basis, controls, 0.5)
-        b2, c2 = insert_knot(b1, c1, 0.5)
-        assert np.count_nonzero(b2.knot_vector.knots == 0.5) == 2
-        ts = np.linspace(0, 1, 101)
-        assert np.abs(
-            sample_curve(basis, controls, ts) - sample_curve(b2, c2, ts)
-        ).max() < 1e-12
-
-    def test_multiplicity_violation(self):
-        basis = Basis1D(KnotVector(np.array([0, 0, 0.5, 1, 1.0]), 1), None)
-        with pytest.raises(SplineError):
-            insert_knot(basis, np.zeros((3, 2)), 0.5)
-
-    def test_circle_stays_on_circle(self, circle_basis, circle_controls):
-        refined, ctrl = insert_knot(circle_basis, circle_controls, 0.125)
-        ts = np.linspace(0, 1, 257)
-        pts = sample_curve_rational(refined, ctrl, ts)
-        radii = np.hypot(pts[:, 0], pts[:, 1])
-        assert np.abs(radii - 1.0).max() < 1e-12
+@settings(max_examples=80, deadline=None)
+@given(basis=clamped_bases(), inside=st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_basis_windows_match_scipy(basis, inside):
+    """Values and first derivatives agree with scipy's B-splines, including
+    at every knot and at both ends of the parameter range."""
+    kv = basis.knot_vector
+    p, n = kv.degree, kv.n_basis
+    xs = np.concatenate([kv.knots, inside])
+    spl = BSpline(kv.knots, np.eye(n), p)
+    V_ref, D_ref = spl(xs), spl(xs, nu=1)
+    starts, vals, ders = basis_windows(basis, xs)
+    rows = np.arange(xs.size)[:, None]
+    cols = starts[:, None] + np.arange(p + 1)
+    scale = max(1.0, np.abs(D_ref).max())
+    assert np.abs(vals - V_ref[rows, cols]).max() <= 1e-12
+    assert np.abs(ders - D_ref[rows, cols]).max() <= 1e-12 * scale
+    V, D = tabulate(basis, xs)
+    assert np.abs(V - V_ref).max() <= 1e-12
+    assert np.abs(D - D_ref).max() <= 1e-12 * scale
 
 
-# rational evaluation happens inside eval_basis, so the same sampler works
-sample_curve_rational = sample_curve
-
-
-class TestHRefine:
-    def test_zero_levels_identity(self, circle_basis, circle_controls):
-        b, c = h_refine_uniform(circle_basis, circle_controls, 0)
-        assert b.n_basis == circle_basis.n_basis
-        assert np.array_equal(c, circle_controls)
-
-    def test_midpoint_added(self):
-        basis = Basis1D(KnotVector(np.array([0, 0, 0, 1, 1, 1.0]), 2), None)
-        refined, _ = h_refine_uniform(basis, np.zeros((3, 2)), 1)
-        assert 0.5 in refined.knot_vector.knots
-
-    def test_circle_three_levels(self, circle_basis, circle_controls):
-        refined, ctrl = h_refine_uniform(circle_basis, circle_controls, 3)
-        ts = np.linspace(0, 1, 1000)
-        pts = sample_curve_rational(refined, ctrl, ts)
-        radii = np.hypot(pts[:, 0], pts[:, 1])
-        assert np.abs(radii - 1.0).max() < 1e-12
-
-    def test_negative_levels(self, circle_basis, circle_controls):
-        with pytest.raises(SplineError):
-            h_refine_uniform(circle_basis, circle_controls, -1)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    p=st.integers(1, 4),
-    spans=st.integers(1, 5),
-    data=st.data(),
-)
-def test_refinement_invariance_random(p, spans, data):
-    """Random insertion sequences leave the mapped curve unchanged."""
-    kv = KnotVector.open_uniform(p, spans)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-    weights = rng.uniform(0.3, 2.0, kv.n_basis) if rng.random() < 0.5 else None
-    basis = Basis1D(kv, weights)
-    controls = rng.standard_normal((kv.n_basis, 3))
-    diag = np.linalg.norm(controls.max(0) - controls.min(0)) or 1.0
-    ts = rng.uniform(0, 1, 100)
-    before = sample_curve(basis, controls, ts)
-    b, c = basis, controls
-    for _ in range(4):
-        xi = float(rng.uniform(1e-3, 1 - 1e-3))
-        if np.count_nonzero(b.knot_vector.knots == xi) >= p:
+def test_nurbs_windows_are_quotient_of_weighted_polynomials():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        basis = random_basis(rng)
+        if not basis.is_rational:
             continue
-        b, c = insert_knot(b, c, xi)
-    after = sample_curve(b, c, ts)
-    assert np.abs(before - after).max() < 1e-12 * max(diag, 1.0)
+        xs = np.concatenate([rng.uniform(0, 1, 40), [0.0, 1.0]])
+        s_r, R, dR = basis_windows(basis, xs)
+        s_b, N, dN = basis_windows(Basis1D(basis.knot_vector, None), xs)
+        w = basis.weights[s_b[:, None] + np.arange(basis.degree + 1)]
+        W = (N * w).sum(axis=1, keepdims=True)
+        dW = (dN * w).sum(axis=1, keepdims=True)
+        assert np.array_equal(s_r, s_b)
+        assert np.allclose(R, N * w / W, rtol=1e-14, atol=1e-15)
+        assert np.allclose(dR, dN * w / W - N * w * dW / W**2, rtol=1e-12, atol=1e-12)
 
 
 def test_greville_points_interpolate_degree_one():
