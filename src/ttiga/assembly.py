@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import GeometryPatch, GridEvaluator
+from .geometry import GeometryPatch, GridEvaluator, _line_index
 from .splines import Basis1D, basis_windows, greville_points, tabulate
 from .tensor_train import (
     CrossOracle,
@@ -142,24 +142,35 @@ def _batched(fn, idx):
     )
 
 
-def metric_oracle(ev: GridEvaluator, i: int, j: int) -> CrossOracle:
-    """Entry (i, j) of the metric factor, sampled on the quadrature grid."""
+def _grid_oracle(ev: GridEvaluator, values) -> CrossOracle:
+    """Cross oracle of ``values(jac, pts, idx)`` on the grid of ``ev``:
+    pointwise, and on whole grid lines in chunks of at most ``_BATCH``
+    points."""
 
     def fn(idx):
-        _, R = ev.metric(idx)
-        return R[:, i, j]
+        jac, pts = ev.jacobians(idx)
+        return values(jac, pts, idx)
 
-    return CrossOracle(lambda idx: _batched(fn, idx), ev.shape)
+    def lines(k, fixed):
+        step = max(1, _BATCH // ev.shape[k])
+        out = []
+        for m in range(0, fixed.shape[0], step):
+            part = fixed[m: m + step]
+            jac, pts = ev.lines(k, part)
+            out.append(values(jac, pts, _line_index(ev.shape, k, part)))
+        return np.concatenate(out).reshape(fixed.shape[0], ev.shape[k])
+
+    return CrossOracle(lambda idx: _batched(fn, idx), ev.shape, lines)
+
+
+def metric_oracle(ev: GridEvaluator, i: int, j: int) -> CrossOracle:
+    """Entry (i, j) of the metric factor, sampled on the quadrature grid."""
+    return _grid_oracle(ev, lambda jac, pts, idx: ev._metric_of(jac, idx)[1][:, i, j])
 
 
 def load_oracle(ev: GridEvaluator, source) -> CrossOracle:
     """Source times Jacobian determinant on the quadrature grid."""
-
-    def fn(idx):
-        jac, pts = ev.jacobians(idx)
-        return source(pts) * np.linalg.det(jac)
-
-    return CrossOracle(lambda idx: _batched(fn, idx), ev.shape)
+    return _grid_oracle(ev, lambda jac, pts, idx: source(pts) * np.linalg.det(jac))
 
 
 def metric_scale(ev: GridEvaluator, rng: np.random.Generator, n_probe: int = 512):
@@ -401,12 +412,10 @@ def _face_coefficients(patch, disc, bc, axis, side):
     axes[axis] = np.array([float(side)])
     axes[other[0]], axes[other[1]] = gr
     ev = GridEvaluator(patch, axes)
-    idx = np.zeros((gr[0].size * gr[1].size, 3), dtype=np.intp)
-    A, B = np.meshgrid(np.arange(gr[0].size), np.arange(gr[1].size), indexing="ij")
-    idx[:, other[0]] = A.ravel()
-    idx[:, other[1]] = B.ravel()
-    pts = ev.points(idx)
-    G = fc.value_fn()(pts).reshape(gr[0].size, gr[1].size)
+    fixed = np.zeros((gr[1].size, 3), dtype=np.intp)
+    fixed[:, other[1]] = np.arange(gr[1].size)
+    _, pts = ev.lines(other[0], fixed)
+    G = fc.value_fn()(pts).reshape(gr[1].size, gr[0].size).T
     colloc = [
         tabulate(disc.solution_bases[d], g)[0] for d, g in zip(other, gr)
     ]

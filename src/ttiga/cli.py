@@ -237,12 +237,11 @@ def _dump_field(cfg: SolveConfig, rep, m: int, path: Path) -> None:
     patch, _, disc = discretize(cfg)
     ax = np.linspace(0.0, 1.0, m)
     vals = field_on_grid(disc, rep.u, [ax, ax, ax])
-    ev = GridEvaluator(patch, [ax, ax, ax])
-    order = np.stack(
-        [g.ravel(order="F") for g in np.meshgrid(*[np.arange(m)] * 3, indexing="ij")],
-        axis=1,
-    )
-    pts = ev.points(order)
+    # Fortran order: lines along axis 0, anchored at (i1, i2) with i1 fastest
+    fixed = np.zeros((m * m, 3), dtype=np.intp)
+    fixed[:, 1] = np.tile(np.arange(m), m)
+    fixed[:, 2] = np.repeat(np.arange(m), m)
+    _, pts = GridEvaluator(patch, [ax, ax, ax]).lines(0, fixed)
     u = vals.ravel(order="F")
     lines = [
         f"{x:.17g} {y:.17g} {z:.17g} {v:.17g}" for (x, y, z), v in zip(pts, u)
@@ -426,7 +425,7 @@ def cmd_dump(args) -> int:
     else:  # tt-info
         if not args.path:
             raise ConfigError("dump tt-info requires --path")
-        out = json.dumps(tt_info(load_tt(args.path)), indent=2)
+        out = json.dumps(tt_info(_load_container(args.path)), indent=2)
     if args.out:
         _atomic_write(Path(args.out), out)
     else:
@@ -496,6 +495,14 @@ def _check_field(text: str):
             float(p)
 
 
+def _load_container(path):
+    """:func:`load_tt`, with a malformed container reported as a ConfigError."""
+    try:
+        return load_tt(path)
+    except ValueError as exc:
+        raise ConfigError(f"invalid TT container {path}: {exc}") from exc
+
+
 def check_artifact(path) -> str:
     """Validate one artifact; returns its detected kind or raises ConfigError."""
     path = Path(path)
@@ -503,7 +510,7 @@ def check_artifact(path) -> str:
         _check_csv(path.read_text())
         return "csv"
     if path.suffix == ".tt":
-        load_tt(path)
+        _load_container(path)
         return "tt-container"
     if path.suffix == ".txt":
         _check_field(path.read_text())

@@ -154,6 +154,10 @@ ANALYTIC = {
 # ---------------------------------------------------------------------------
 # configuration
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass
 class SolveConfig:
     geometry: str
@@ -189,10 +193,26 @@ class SolveConfig:
             raise DriverError("degrees must be at least 1")
         if any(e < 1 for e in self.elements):
             raise DriverError("need at least one element per direction")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise DriverError(
                 f"seed must be a non-negative integer, got {self.seed!r}"
             )
+        if not _is_int(self.rank_cap) or self.rank_cap < 1:
+            raise DriverError(
+                f"rank_cap must be an integer >= 1, got {self.rank_cap!r}"
+            )
+        if self.n_gauss is not None:
+            g = [self.n_gauss] * 3 if _is_int(self.n_gauss) else self.n_gauss
+            if not (
+                isinstance(g, (list, tuple))
+                and len(g) == 3
+                and all(_is_int(n) and n >= p + 1 for n, p in zip(g, self.degree))
+            ):
+                raise DriverError(
+                    "n_gauss must be null, an integer or 3 integers, each at "
+                    f"least degree + 1 = {[p + 1 for p in self.degree]}, "
+                    f"got {self.n_gauss!r}"
+                )
         if self.source not in SOURCES:
             raise DriverError(f"unknown source {self.source!r}")
         if self.analytic is not None and self.analytic not in ANALYTIC:
@@ -381,7 +401,7 @@ def _cached(cfg: SolveConfig, what: str, assemble):
     save_tt(path, obj)
     doc = dict(info)
     doc["tt"] = tt_info(obj)
-    tmp = d / f".{key}.json.tmp"
+    tmp = d / f".{key}.json.{os.getpid()}.tmp"  # one per concurrent writer
     with open(tmp, "w") as fh:
         json.dump(doc, fh, indent=2, default=str)
     os.replace(tmp, manifest)
@@ -433,20 +453,14 @@ def l2_error(u: TtTensor, analytic_fn, patch: GeometryPatch, disc: Discretizatio
     w12 = np.outer(w1, w2)
     num = 0.0
     den = 0.0
-    i12 = np.stack(
-        [
-            np.repeat(np.arange(nq[0]), nq[1]),
-            np.tile(np.arange(nq[1]), nq[0]),
-            np.zeros(nq[0] * nq[1], dtype=np.intp),
-        ],
-        axis=1,
-    )
+    # slab i3: one grid line along axis 0 through each i2
+    fixed = np.zeros((nq[1], 3), dtype=np.intp)
+    fixed[:, 1] = np.arange(nq[1])
     for i3 in range(nq[2]):
-        idx = i12.copy()
-        idx[:, 2] = i3
-        jac, pts = ev.jacobians(idx)
-        det = np.linalg.det(jac).reshape(nq[0], nq[1])
-        u_exact = analytic_fn(pts).reshape(nq[0], nq[1])
+        fixed[:, 2] = i3
+        jac, pts = ev.lines(0, fixed)
+        det = np.linalg.det(jac).reshape(nq[1], nq[0]).T
+        u_exact = analytic_fn(pts).reshape(nq[1], nq[0]).T
         u_num = np.einsum("qpc,c->qp", T12, V[2][:, i3, 0], optimize=True)
         wdet = w12 * w3[i3] * det
         num += float(np.sum(wdet * np.abs(u_num - u_exact)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .splines import Basis1D, KnotVector, basis_windows
+from .splines import Basis1D, KnotVector, tabulate
 
 __all__ = [
     "GeometryError",
@@ -113,91 +113,91 @@ _ORIGIN = np.zeros((1, 3), dtype=np.intp)  # the one point of a 1x1x1 grid
 class GridEvaluator:
     """Batched patch evaluation on a fixed tensor grid of parameters.
 
-    Tabulates the active basis windows per direction once, then evaluates
-    points, Jacobians, and metric factors at arbitrary batches of grid
-    multi-indices. This is the evaluation backend for the cross-interpolation
-    oracles and the error quadrature.
+    Tabulates dense basis value and derivative rows per direction once, then
+    evaluates points, Jacobians, and metric factors either at arbitrary
+    batches of grid multi-indices or on whole grid lines (:meth:`lines`).
+    Both contract the homogeneous control net [w P, w] with the rows of two
+    directions first; the net of an exact geometry is coarse, so this costs
+    a few hundred flops per point or line. This is the evaluation backend
+    for the cross-interpolation oracles and the error quadrature.
     """
 
     def __init__(self, patch: GeometryPatch, axes_points):
         self.patch = patch
         self.axes_points = [np.asarray(a, dtype=float) for a in axes_points]
-        self._win = [
-            basis_windows(basis, pts)
-            for basis, pts in zip(patch.bases, self.axes_points)
+        self._rows = [
+            tabulate(basis, pts) for basis, pts in zip(patch.bases, self.axes_points)
         ]
-        self._wp = patch.weights[..., None] * patch.control_points
+        w = patch.weights[..., None]
+        self._hom = np.concatenate([w * patch.control_points, w], axis=-1)
         self._sing_tol = 1e-12 * patch.scale**3
 
     @property
     def shape(self):
         return tuple(a.size for a in self.axes_points)
 
-    def _gather(self, idx):
-        idx = np.asarray(idx, dtype=np.intp)
-        vals, ders, slots = [], [], []
-        for d in range(3):
-            starts, V, D = self._win[d]
-            rows = idx[:, d]
-            vals.append(V[rows])
-            ders.append(D[rows])
-            p1 = V.shape[1]
-            slots.append(starts[rows][:, None] + np.arange(p1)[None, :])
-        a, b, c = slots
-        mesh = (a[:, :, None, None], b[:, None, :, None], c[:, None, None, :])
-        w_win = self.patch.weights[mesh]
-        wp_win = self._wp[mesh[0], mesh[1], mesh[2], :]
-        return vals, ders, w_win, wp_win
+    def _fixed_sums(self, axis, fixed):
+        """The net contracted over the two directions other than ``axis``.
+
+        Returns (3, M, n_axis, 4): at each row of ``fixed``, the sum with
+        both value rows, then with the derivative row of the first and of
+        the second other direction. One GEMM against the outer products of
+        the row pairs does all three.
+        """
+        b, c = (d for d in range(3) if d != axis)
+        H = np.moveaxis(self._hom, axis, 2)  # (n_b, n_c, n_axis, 4)
+        (Vb, Db), (Vc, Dc) = self._rows[b], self._rows[c]
+        vb, db = Vb[fixed[:, b], :, None], Db[fixed[:, b], :, None]
+        vc, dc = Vc[fixed[:, c], None, :], Dc[fixed[:, c], None, :]
+        W = np.stack([vb * vc, db * vc, vb * dc])  # (3, M, n_b, n_c)
+        M = fixed.shape[0]
+        G = W.reshape(3 * M, -1) @ H.reshape(-1, H.shape[2] * 4)
+        return G.reshape(3, M, H.shape[2], 4)
+
+    @staticmethod
+    def _quotient(h, dh):
+        """Jacobians (N, 3, 3) and points (N, 3) from the homogeneous sums
+        h (N, 4) and their parametric derivatives dh (N, 4, 3)."""
+        w = h[:, 3:]
+        pts = h[:, :3] / w
+        jac = (dh[:, :3, :] - pts[:, :, None] * dh[:, 3:, :]) / w[:, :, None]
+        return jac, pts
 
     def points(self, idx) -> np.ndarray:
         """Physical coordinates for grid multi-indices ``idx`` of shape (N, 3)."""
-        (v1, v2, v3), _, w_win, wp_win = self._gather(idx)
-        w_ab = np.einsum("nc,nabc->nab", v3, w_win)
-        den = np.einsum("na,na->n", v1, np.einsum("nb,nab->na", v2, w_ab))
-        p_ab = np.einsum("nc,nabcx->nabx", v3, wp_win)
-        num = np.einsum("na,nax->nx", v1, np.einsum("nb,nabx->nax", v2, p_ab))
-        return num / den[:, None]
+        return self.jacobians(idx)[1]
 
     def jacobians(self, idx):
-        """Jacobians (N, 3, 3) and physical points (N, 3) for ``idx``.
+        """Jacobians (N, 3, 3) and physical points (N, 3) for ``idx``."""
+        idx = np.asarray(idx, dtype=np.intp)
+        G = self._fixed_sums(0, idx)
+        V, D = (R[idx[:, 0]] for R in self._rows[0])
+        hv = np.einsum("na,knax->knx", V, G)  # h, d2 h, d3 h
+        d1 = np.einsum("na,nax->nx", D, G[0])
+        return self._quotient(hv[0], np.stack([d1, hv[1], hv[2]], axis=2))
 
-        The derivative sums reuse the partial contractions of the value
-        sums, so each (p+1)^3 window is traversed only twice.
+    def lines(self, axis: int, fixed):
+        """Jacobians and points on whole grid lines along ``axis``.
+
+        Row m of ``fixed`` (M, 3) anchors the line through the grid in the
+        two other directions; its ``axis`` column is ignored. Returns
+        Jacobians (M*nq, 3, 3) and points (M*nq, 3), line by line, where nq
+        is the grid size along ``axis``. After the per-line contraction of
+        the net, one GEMM per table runs along the free direction.
         """
-        (v1, v2, v3), (d1, d2, d3), w_win, wp_win = self._gather(idx)
-        w_ab = np.einsum("nc,nabc->nab", v3, w_win)
-        w_ab_d3 = np.einsum("nc,nabc->nab", d3, w_win)
-        w_a = np.einsum("nb,nab->na", v2, w_ab)
-        den = np.einsum("na,na->n", v1, w_a)
-        dden = np.stack(
-            [
-                np.einsum("na,na->n", d1, w_a),
-                np.einsum("na,na->n", v1, np.einsum("nb,nab->na", d2, w_ab)),
-                np.einsum("na,na->n", v1, np.einsum("nb,nab->na", v2, w_ab_d3)),
-            ],
-            axis=1,
-        )
-        p_ab = np.einsum("nc,nabcx->nabx", v3, wp_win)
-        p_ab_d3 = np.einsum("nc,nabcx->nabx", d3, wp_win)
-        p_a = np.einsum("nb,nabx->nax", v2, p_ab)
-        num = np.einsum("na,nax->nx", v1, p_a)
-        dnum = np.stack(
-            [
-                np.einsum("na,nax->nx", d1, p_a),
-                np.einsum(
-                    "na,nax->nx", v1, np.einsum("nb,nabx->nax", d2, p_ab)
-                ),
-                np.einsum(
-                    "na,nax->nx", v1, np.einsum("nb,nabx->nax", v2, p_ab_d3)
-                ),
-            ],
-            axis=2,
-        )
-        pts = num / den[:, None]
-        jac = (dnum * den[:, None, None] - num[:, :, None] * dden[:, None, :]) / (
-            den[:, None, None] ** 2
-        )
-        return jac, pts
+        fixed = np.asarray(fixed, dtype=np.intp)
+        b, c = (d for d in range(3) if d != axis)
+        G = self._fixed_sums(axis, fixed)
+        _, M, na, _ = G.shape
+        S = G.transpose(2, 0, 1, 3).reshape(na, 3 * M * 4)
+        V, D = self._rows[axis]
+        nq = V.shape[0]
+        hv = (V @ S).reshape(nq, 3, M, 4).transpose(1, 2, 0, 3)
+        dh = np.empty((M, nq, 4, 3))
+        dh[..., axis] = (D @ S[:, : M * 4]).reshape(nq, M, 4).transpose(1, 0, 2)
+        dh[..., b] = hv[1]
+        dh[..., c] = hv[2]
+        return self._quotient(hv[0].reshape(M * nq, 4), dh.reshape(M * nq, 4, 3))
 
     def metric(self, idx):
         """Determinants (N,) and metric factors (N, 3, 3) for ``idx``."""
@@ -207,8 +207,9 @@ class GridEvaluator:
     def _metric_of(self, jac, idx):
         """Determinants and metric factors of the Jacobians ``jac`` at ``idx``.
 
-        Raises :class:`SingularMapError` where |det J| falls below the
-        singularity threshold.
+        The metric is adj(J) adj(J)^T / det J, exactly symmetric. Raises
+        :class:`SingularMapError` where |det J| falls below the singularity
+        threshold.
         """
         det = np.linalg.det(jac)
         bad = np.abs(det) < self._sing_tol
@@ -218,10 +219,20 @@ class GridEvaluator:
                 float(self.axes_points[d][np.asarray(idx)[k, d]]) for d in range(3)
             )
             raise SingularMapError(f"singular geometry map at xi={xi}")
-        inv = np.linalg.inv(jac)
-        metric = inv @ inv.transpose(0, 2, 1) * det[:, None, None]
-        metric = 0.5 * (metric + metric.transpose(0, 2, 1))
+        # rows of the cofactor matrix C = adj(J)^T: J1 x J2, J2 x J0, J0 x J1
+        cof = np.cross(jac[:, [1, 2, 0], :], jac[:, [2, 0, 1], :])
+        metric = np.einsum("nki,nkj->nij", cof, cof) / det[:, None, None]
         return det, metric
+
+
+def _line_index(shape, axis: int, fixed) -> np.ndarray:
+    """Grid multi-indices (M*nq, 3) of the points :meth:`GridEvaluator.lines`
+    returns for ``fixed``, in the same order."""
+    fixed = np.asarray(fixed, dtype=np.intp)
+    nq = shape[axis]
+    idx = np.repeat(fixed, nq, axis=0)
+    idx[:, axis] = np.tile(np.arange(nq), fixed.shape[0])
+    return idx
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,16 @@ class CrossOracle:
 
     ``fn`` maps an integer index array of shape (N, d) to N values and must
     be deterministic: repeated queries at the same multi-index return the
-    same value.
+    same value. The optional ``lines`` evaluates whole fibers: given a mode
+    k and an index array ``fixed`` of shape (M, d) whose column k is
+    ignored, it returns the (M, n_k) values along mode k through each row.
+    The cross fetches its fibers through it when set; it must agree with
+    ``fn``.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     mode_sizes: tuple
+    lines: Callable[[int, np.ndarray], np.ndarray] | None = None
 
 
 @dataclass
@@ -47,16 +52,26 @@ class CrossResult:
 
 
 class _Counter:
-    def __init__(self, fn):
-        self.fn = fn
+    """The oracle's evaluators, counting every grid entry they return."""
+
+    def __init__(self, oracle: CrossOracle):
+        self.oracle = oracle
         self.n = 0
 
     def __call__(self, idx):
         idx = np.asarray(idx, dtype=np.intp)
         self.n += idx.shape[0]
-        vals = np.asarray(self.fn(idx), dtype=float)
+        vals = np.asarray(self.oracle.fn(idx), dtype=float)
         if vals.shape != (idx.shape[0],):
             raise ValueError("oracle must return one value per multi-index")
+        return vals
+
+    def lines(self, k, fixed):
+        shape = (fixed.shape[0], int(self.oracle.mode_sizes[k]))
+        self.n += shape[0] * shape[1]
+        vals = np.asarray(self.oracle.lines(k, fixed), dtype=float)
+        if vals.shape != shape:
+            raise ValueError("oracle lines must return (M, n_k) values")
         return vals
 
 
@@ -76,19 +91,26 @@ def _random_tuples(rng, sizes, count, existing=()):
     return out
 
 
-def _fiber_matrix(oracle, left, nk, right, k, d):
-    """Evaluate the unfolding C[(i_left, i_k), j_right] at the cross fibers."""
+def _fiber_matrix(fn: _Counter, left, nk, right, k, d):
+    """Evaluate the unfolding C[(i_left, i_k), j_right] at the cross fibers.
+
+    Through the oracle's ``lines`` when it has one: one fiber along mode k
+    per (left, right) pair. Else entry by entry.
+    """
     nl, nr = len(left), len(right)
     left_arr = np.asarray(left, dtype=np.intp).reshape(nl, k)
     right_arr = np.asarray(right, dtype=np.intp).reshape(nr, d - k - 1)
+    if fn.oracle.lines is not None:
+        fixed = np.zeros((nl * nr, d), dtype=np.intp)
+        fixed[:, :k] = np.repeat(left_arr, nr, axis=0)
+        fixed[:, k + 1:] = np.tile(right_arr, (nl, 1))
+        vals = fn.lines(k, fixed).reshape(nl, nr, nk)
+        return vals.transpose(0, 2, 1).reshape(nl * nk, nr)
     idx = np.empty((nl * nk * nr, d), dtype=np.intp)
-    if k > 0:
-        idx[:, :k] = np.repeat(left_arr, nk * nr, axis=0)
+    idx[:, :k] = np.repeat(left_arr, nk * nr, axis=0)
     idx[:, k] = np.tile(np.repeat(np.arange(nk), nr), nl)
-    if k + 1 < d:
-        idx[:, k + 1:] = np.tile(right_arr, (nl * nk, 1))
-    vals = oracle(idx)
-    return vals.reshape(nl * nk, nr)
+    idx[:, k + 1:] = np.tile(right_arr, (nl * nk, 1))
+    return fn(idx).reshape(nl * nk, nr)
 
 
 def tt_cross(
@@ -122,7 +144,7 @@ def tt_cross(
     rng = rng or np.random.default_rng()
     sizes = tuple(int(n) for n in oracle.mode_sizes)
     d = len(sizes)
-    fn = _Counter(oracle.fn)
+    fn = _Counter(oracle)
 
     hold_idx = np.stack(
         [rng.integers(0, n, size=holdout_size) for n in sizes], axis=1

@@ -16,7 +16,10 @@ bytes     content
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +31,7 @@ _MAGIC = b"TTC1"
 
 
 def save_tt(path, t) -> None:
-    """Write a TtTensor or TtMatrix to the binary container."""
+    """Write a TtTensor or TtMatrix to the binary container, atomically."""
     is_mat = isinstance(t, TtMatrix)
     d = t.d
     header = [_MAGIC, struct.pack("<BB", 1 if is_mat else 0, d)]
@@ -38,11 +41,20 @@ def save_tt(path, t) -> None:
     else:
         header.append(struct.pack(f"<{d}I", *t.mode_sizes))
     header.append(struct.pack(f"<{d + 1}I", *t.ranks))
-    with open(path, "wb") as fh:
-        for chunk in header:
-            fh.write(chunk)
-        for G in t.cores:
-            fh.write(np.ascontiguousarray(G, dtype="<f8").tobytes())
+    # write a temp file next to the target, then rename it into place, so
+    # readers see either the old file or the complete new one
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in header:
+                fh.write(chunk)
+            for G in t.cores:
+                fh.write(np.ascontiguousarray(G, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_tt(path):

@@ -201,6 +201,31 @@ class TestSolveCommand:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n_gauss", 1), ("n_gauss", [2, 2, 1]), ("n_gauss", [2, 2]),
+         ("n_gauss", "3"), ("n_gauss", 2.5), ("rank_cap", 0), ("rank_cap", 1.5),
+         ("rank_cap", None)],
+    )
+    def test_bad_run_value_rejected(self, tmp_path, capsys, field, value):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"output_dir": str(tmp_path / "out"), "runs": [dict(CUBE_RUN, **{field: value})]},
+        )
+        assert main(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field,value", [("n_gauss", 2), ("n_gauss", [3, 2, 4]), ("rank_cap", 1)])
+    def test_good_run_value_accepted(self, tmp_path, field, value):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"output_dir": str(tmp_path / "out"), "runs": [dict(CUBE_RUN, **{field: value})]},
+        )
+        assert main(["solve", "--config", str(cfg)]) == 0
+
+
 class TestBenchCommand:
     def test_small_bench(self, tmp_path, monkeypatch):
         doc = {
@@ -338,6 +363,24 @@ class TestCheckCommand:
         bad = tmp_path / "report.json"
         bad.write_text(json.dumps({"residual": 1.0}))
         assert main(["check", str(bad)]) == 1
+
+    @pytest.mark.parametrize("damage", ["bad_magic", "truncated_cores"])
+    @pytest.mark.parametrize("command", ["check", "tt-info"])
+    def test_corrupt_container_rejected(self, tmp_path, capsys, damage, command):
+        from ttiga.tensor_train import TtTensor, save_tt
+
+        path = tmp_path / "bad.tt"
+        if damage == "bad_magic":
+            path.write_text("garbage")
+        else:
+            save_tt(path, TtTensor.ones((4, 5, 6)))
+            path.write_bytes(path.read_bytes()[:-8])
+        argv = ["check", str(path)] if command == "check" else [
+            "dump", "tt-info", "--path", str(path)
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid TT container")
 
     def test_garbage_csv_rejected(self, tmp_path):
         bad = tmp_path / "x.csv"

@@ -205,6 +205,33 @@ class TestSolvePoisson:
         assert solve_poisson(cfg).metrics_dict() == first
         assert [path.stat().st_size for path in entries] == sizes
 
+    def test_geometry_points_stay_within_probe_budget(self, monkeypatch):
+        """The crosses fetch their fibers through GridEvaluator.lines; only
+        the holdout samples, the metric scale probe and the orientation
+        probes of the geometry factory evaluate point by point."""
+        from ttiga.geometry import GridEvaluator
+
+        counts = {"points": 0, "lines": 0}
+        jacobians, lines = GridEvaluator.jacobians, GridEvaluator.lines
+
+        def count_points(self, idx):
+            counts["points"] += len(idx)
+            return jacobians(self, idx)
+
+        def count_lines(self, axis, fixed):
+            counts["lines"] += len(fixed) * self.shape[axis]
+            return lines(self, axis, fixed)
+
+        monkeypatch.setattr(GridEvaluator, "jacobians", count_points)
+        monkeypatch.setattr(GridEvaluator, "lines", count_lines)
+        cfg = SolveConfig(
+            geometry="quarter_torus", degree=2, elements=4, source="sin_pi_xyz"
+        )
+        solve_poisson(cfg)
+        holdout, probe, orientation = 10 * 1000, 512, 5
+        assert holdout + probe <= counts["points"] <= holdout + probe + orientation
+        assert counts["lines"] > 0
+
     def test_invalid_configs(self):
         with pytest.raises(DriverError):
             SolveConfig(geometry="ring", eps_solve=0.0)
@@ -239,6 +266,41 @@ class TestL2Error:
 
         err = l2_error(tt_scale(u, 2.0), field_fn, patch, disc)
         assert abs(err - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [ring_cfg(4), SolveConfig(geometry="lshape", degree=1, elements=4,
+                                  source="sin_pi_xy", analytic="lshape_exact")],
+        ids=["ring", "lshape"],
+    )
+    def test_matches_point_path_slabs(self, cfg):
+        from ttiga.geometry import GridEvaluator
+        from ttiga.splines import tabulate
+
+        rep = solve_poisson(cfg)
+        patch, cfg, disc = discretize(cfg)
+        exact = driver.ANALYTIC[cfg.analytic](cfg, patch)
+        # reference: every (i1, i2) point of each i3 slab through jacobians
+        ev = GridEvaluator(patch, disc.quad_axes())
+        nq = disc.quad_shape
+        B = [tabulate(disc.solution_bases[d], disc.tables[d].points)[0] for d in range(3)]
+        u = np.einsum(
+            "ai,bj,ck,ijk->abc", B[0], B[1], B[2], rep.u.full(), optimize=True
+        )
+        i1, i2 = np.meshgrid(np.arange(nq[0]), np.arange(nq[1]), indexing="ij")
+        num = den = 0.0
+        for i3 in range(nq[2]):
+            idx = np.stack([i1.ravel(), i2.ravel(), np.full(i1.size, i3)], axis=1)
+            jac, pts = ev.jacobians(idx)
+            w = (
+                np.outer(disc.tables[0].weights, disc.tables[1].weights).ravel()
+                * disc.tables[2].weights[i3]
+                * np.linalg.det(jac)
+            )
+            ue = exact(pts)
+            num += np.sum(w * np.abs(u[:, :, i3].ravel() - ue))
+            den += np.sum(w * np.abs(ue))
+        assert abs(rep.l2_error - num / den) <= 1e-12 * (num / den)
 
     def test_zero_reference_rejected(self):
         patch, _, disc = discretize(cube_cfg(1, 2))

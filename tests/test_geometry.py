@@ -177,6 +177,67 @@ class TestGridEvaluator:
             assert np.array_equal(metric[k], m.metric)
 
 
+def _line_index(shape, axis, fixed):
+    """Reference enumeration of the points on the lines, line by line."""
+    rows = []
+    for anchor in fixed:
+        for q in range(shape[axis]):
+            row = list(anchor)
+            row[axis] = q
+            rows.append(row)
+    return np.array(rows)
+
+
+def _gauss_axes(n_spans, g=3):
+    """Interior Gauss-like points over n_spans uniform spans per direction."""
+    ref = 0.5 + 0.5 * np.polynomial.legendre.leggauss(g)[0]
+    return [
+        np.concatenate([(s + ref) / n for s in range(n)]) for n in n_spans
+    ]
+
+
+class TestLines:
+    @pytest.mark.parametrize("name", GEOMETRY_NAMES)
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_lines_match_points(self, name, axis):
+        patch = make_geometry(name)
+        ev = GridEvaluator(patch, _gauss_axes((5, 4, 3)))
+        shape = ev.shape
+        rng = np.random.default_rng(20 + axis)
+        # first and last grid index in each fixed direction, plus random ones
+        corners = [[0, 0, 0], [s - 1 for s in shape], [0] + [s - 1 for s in shape[1:]]]
+        fixed = np.vstack([corners, np.stack(
+            [rng.integers(0, n, 7) for n in shape], axis=1
+        )])
+        fixed[:, axis] = rng.integers(0, shape[axis], fixed.shape[0])  # ignored
+        idx = _line_index(shape, axis, fixed)
+        jac, pts = ev.lines(axis, fixed)
+        jac_p, pts_p = ev.jacobians(idx)
+        assert jac.shape == (len(idx), 3, 3) and pts.shape == (len(idx), 3)
+        assert np.abs(jac - jac_p).max() <= 1e-13 * np.abs(jac_p).max()
+        assert np.abs(pts - pts_p).max() <= 1e-13 * np.abs(pts_p).max()
+        det, metric = ev._metric_of(jac, idx)
+        det_p, metric_p = ev.metric(idx)
+        assert np.abs(det - det_p).max() <= 1e-13 * np.abs(det_p).max()
+        assert np.abs(metric - metric_p).max() <= 1e-13 * np.abs(metric_p).max()
+
+    def test_pole_raises_like_points(self):
+        from ttiga.assembly import metric_oracle
+        from ttiga.geometry import SingularMapError
+
+        patch = make_geometry("closed_hemisphere")
+        axes = [np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 5), [0.2, 0.7]]
+        ev = GridEvaluator(patch, axes)
+        oracle = metric_oracle(ev, 0, 0)
+        fixed = np.array([[0, 0, 1], [0, 2, 0], [0, 4, 1], [0, 4, 0]])
+        with pytest.raises(SingularMapError) as by_points:
+            oracle.fn(_line_index(ev.shape, 0, fixed))
+        with pytest.raises(SingularMapError) as by_lines:
+            oracle.lines(0, fixed)
+        assert "xi=(0.0, 1.0, 0.7)" in str(by_points.value)
+        assert str(by_lines.value) == str(by_points.value)
+
+
 def test_json_round_trip():
     patch = make_geometry("quarter_torus")
     text = patch_to_json(patch)

@@ -271,6 +271,56 @@ class TestCross:
         assert res.converged
 
 
+def _fiber_oracle(sizes, seed):
+    """A random TT's entries, pointwise and along whole fibers."""
+    target = TtTensor.random(sizes, (2,) * (len(sizes) - 1), np.random.default_rng(seed))
+
+    def lines(k, fixed):
+        idx = np.repeat(fixed, sizes[k], axis=0)
+        idx[:, k] = np.tile(np.arange(sizes[k]), fixed.shape[0])
+        return target.gather(idx).reshape(fixed.shape[0], sizes[k])
+
+    return CrossOracle(target.gather, sizes), CrossOracle(target.gather, sizes, lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fiber_matrix_lines_match_points(data):
+    from ttiga.tensor_train.cross import _Counter, _fiber_matrix
+
+    d = data.draw(st.integers(2, 4))
+    sizes = tuple(data.draw(st.lists(st.integers(1, 6), min_size=d, max_size=d)))
+    k = data.draw(st.integers(0, d - 1))
+    tuples = lambda dims: st.lists(  # noqa: E731
+        st.tuples(*(st.integers(0, n - 1) for n in dims)), min_size=1, max_size=5
+    )
+    left = data.draw(tuples(sizes[:k])) if k > 0 else [()]
+    right = data.draw(tuples(sizes[k + 1:])) if k + 1 < d else [()]
+    by_points, by_lines = (
+        _Counter(o) for o in _fiber_oracle(sizes, data.draw(st.integers(0, 999)))
+    )
+    C_points = _fiber_matrix(by_points, left, sizes[k], right, k, d)
+    C_lines = _fiber_matrix(by_lines, left, sizes[k], right, k, d)
+    assert C_lines.shape == (len(left) * sizes[k], len(right))
+    assert np.array_equal(C_lines, C_points)
+    assert by_lines.n == by_points.n == len(left) * sizes[k] * len(right)
+
+
+def test_cross_through_lines_matches_points():
+    plain, with_lines = _fiber_oracle((7, 5, 6, 4), 8)
+    a = tt_cross(plain, 1e-10, rng=np.random.default_rng(9))
+    b = tt_cross(with_lines, 1e-10, rng=np.random.default_rng(9))
+    assert (a.ranks, a.n_evals, a.sweeps) == (b.ranks, b.n_evals, b.sweeps)
+    assert np.array_equal(a.tensor.full(), b.tensor.full())
+
+
+def test_bad_lines_shape_rejected():
+    plain, _ = _fiber_oracle((4, 4, 4), 1)
+    oracle = CrossOracle(plain.fn, (4, 4, 4), lambda k, fixed: np.zeros((1, 4)))
+    with pytest.raises(ValueError, match="lines"):
+        tt_cross(oracle, 1e-10, rng=np.random.default_rng(0))
+
+
 class TestAmen:
     def test_identity_system(self):
         rng = np.random.default_rng(30)
@@ -482,6 +532,24 @@ class TestSerialization:
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValueError):
             load_tt(path)
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        good = TtTensor.random((5, 6, 7), (3, 4), np.random.default_rng(42))
+        bad = TtTensor.random((5, 6, 7), (3, 4), np.random.default_rng(43))
+        # the header and first cores write, then this core fails to convert
+        bad.cores[2] = np.full(bad.cores[2].shape, object(), dtype=object)
+        path = tmp_path / "t.tt"
+        with pytest.raises(TypeError):
+            save_tt(path, bad)
+        assert list(tmp_path.iterdir()) == []
+        save_tt(path, good)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            save_tt(path, bad)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
+        for a, b in zip(load_tt(path).cores, good.cores):
+            assert np.array_equal(a, b)
 
     def test_info(self):
         t = TtTensor.ones((8, 8, 8))
