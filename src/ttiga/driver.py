@@ -34,7 +34,7 @@ from .assembly import (
     build_quadrature,
     _face_coefficients,
 )
-from .geometry import GeometryPatch, GridEvaluator, make_geometry
+from .geometry import GeometryPatch, GridEvaluator, det3, make_geometry
 from .splines import Basis1D, KnotVector, eval_basis, tabulate
 from .tensor_train import (
     AmenOptions,
@@ -459,7 +459,7 @@ def l2_error(u: TtTensor, analytic_fn, patch: GeometryPatch, disc: Discretizatio
     for i3 in range(nq[2]):
         fixed[:, 2] = i3
         jac, pts = ev.lines(0, fixed)
-        det = np.linalg.det(jac).reshape(nq[1], nq[0]).T
+        det = det3(jac).reshape(nq[1], nq[0]).T
         u_exact = analytic_fn(pts).reshape(nq[1], nq[0]).T
         u_num = np.einsum("qpc,c->qp", T12, V[2][:, i3, 0], optimize=True)
         wdet = w12 * w3[i3] * det

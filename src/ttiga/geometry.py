@@ -26,6 +26,7 @@ __all__ = [
     "MetricSample",
     "GridEvaluator",
     "GEOMETRY_NAMES",
+    "det3",
     "make_geometry",
     "patch_to_json",
     "patch_from_json",
@@ -223,6 +224,13 @@ class GridEvaluator:
         cof = np.cross(jac[:, [1, 2, 0], :], jac[:, [2, 0, 1], :])
         metric = np.einsum("nki,nkj->nij", cof, cof) / det[:, None, None]
         return det, metric
+
+
+def det3(jac) -> np.ndarray:
+    """Determinants (N,) of Jacobians (N, 3, 3) by cofactor expansion along
+    the first row, with no LU factorization per matrix."""
+    (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(jac, 0, -1)
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def _line_index(shape, axis: int, fixed) -> np.ndarray:

@@ -310,10 +310,16 @@ def tt_norm(a) -> float:
 
     Unlike the square root of a chain-contracted inner product, this does
     not suffer cancellation when the represented tensor is small relative
-    to its cores, which matters for residual certificates.
+    to its cores, which matters for residual certificates. Only the R
+    factors of the sweep are formed.
     """
     cores, _ = _to_vector_view(a)
-    return float(np.linalg.norm(_orth_sweep(cores)[0]))
+    G = cores[-1]
+    for prev in reversed(cores[:-1]):
+        r0, n, r1 = G.shape
+        R = np.linalg.qr(G.reshape(r0, n * r1).T, mode="r")
+        G = np.tensordot(prev, R.T, axes=([2], [0]))
+    return float(np.linalg.norm(G))
 
 
 def tt_matvec(A: TtMatrix, x: TtTensor) -> TtTensor:

@@ -16,6 +16,7 @@ bytes     content
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -76,17 +77,21 @@ def load_tt(path):
         off += 4 * (d + 1)
     except struct.error as exc:
         raise ValueError(f"truncated TT container header: {exc}") from exc
+    if kind not in (0, 1):
+        raise ValueError(f"bad TT container kind {kind} (0 tensor, 1 operator)")
+    shapes = [
+        (ranks[k], rows[k]) + ((cols[k],) if cols else ()) + (ranks[k + 1],)
+        for k in range(d)
+    ]
+    counts = [math.prod(shape) for shape in shapes]
+    # checked before any read, so a corrupt header never sizes a buffer
+    if off + 8 * sum(counts) != len(raw):
+        raise ValueError("TT container payload size does not match its header")
     cores = []
-    for k in range(d):
-        n_entries = ranks[k] * rows[k] * (cols[k] if cols else 1) * ranks[k + 1]
-        G = np.frombuffer(raw, dtype="<f8", count=n_entries, offset=off).copy()
-        off += 8 * n_entries
-        if cols:
-            cores.append(G.reshape(ranks[k], rows[k], cols[k], ranks[k + 1]))
-        else:
-            cores.append(G.reshape(ranks[k], rows[k], ranks[k + 1]))
-    if off != len(raw):
-        raise ValueError("trailing bytes in TT container")
+    for shape, count in zip(shapes, counts):
+        G = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
+        cores.append(G.reshape(shape).copy())
+        off += 8 * count
     return TtMatrix(cores) if kind == 1 else TtTensor(cores)
 
 

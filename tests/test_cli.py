@@ -1,10 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ttiga.driver as driver
 from ttiga.cli import check_artifact, main
@@ -381,6 +386,39 @@ class TestCheckCommand:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: invalid TT container")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["tensor", "operator"]), st.data())
+    def test_damaged_container_rejected(self, kind, data):
+        """A header byte changed, or the file cut short, makes load_tt raise
+        ValueError (never struct.error, IndexError or OverflowError) and
+        ``ttiga check`` exit 1."""
+        from ttiga.tensor_train import TtMatrix, TtTensor, load_tt, save_tt
+
+        rng = np.random.default_rng(44)
+        if kind == "tensor":
+            t = TtTensor.random((5, 6, 7), (3, 4), rng)
+            header = 6 + 4 * 3 + 4 * 4
+        else:
+            t = TtMatrix([rng.standard_normal(s) for s in
+                          ((1, 3, 4, 2), (2, 5, 5, 3), (3, 4, 3, 1))])
+            header = 6 + 2 * 4 * 3 + 4 * 4
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "damaged.tt"
+            save_tt(path, t)
+            raw = bytearray(path.read_bytes())
+            if data.draw(st.booleans(), label="flip"):
+                pos = data.draw(st.integers(0, header - 1), label="pos")
+                raw[pos] ^= data.draw(st.integers(1, 255), label="xor")
+            else:
+                del raw[data.draw(st.integers(0, len(raw) - 1), label="cut"):]
+            path.write_bytes(bytes(raw))
+            with pytest.raises(ValueError):
+                load_tt(path)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(["check", str(path)]) == 1
+            assert err.getvalue().startswith("error: invalid TT container")
 
     def test_garbage_csv_rejected(self, tmp_path):
         bad = tmp_path / "x.csv"

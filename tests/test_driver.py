@@ -232,6 +232,27 @@ class TestSolvePoisson:
         assert holdout + probe <= counts["points"] <= holdout + probe + orientation
         assert counts["lines"] > 0
 
+    def test_one_exact_residual_per_solve(self, monkeypatch):
+        """AMEn forms the exact residual f - A u only to certify: on this
+        solve one certificate passes and the cleanup certifies once more. A
+        residual per half-sweep, as before, took 9 here (4 sweeps)."""
+        from ttiga.tensor_train import amen
+
+        calls = []
+        matvec = amen.tt_matvec
+
+        def counting(A, x):
+            calls.append(1)
+            return matvec(A, x)
+
+        monkeypatch.setattr(amen, "tt_matvec", counting)
+        cfg = SolveConfig(
+            geometry="quarter_torus", degree=2, elements=8, source="sin_pi_xyz"
+        )
+        rep = solve_poisson(cfg)
+        assert rep.solver_converged and rep.residual <= cfg.eps_solve
+        assert len(calls) == 2
+
     def test_invalid_configs(self):
         with pytest.raises(DriverError):
             SolveConfig(geometry="ring", eps_solve=0.0)

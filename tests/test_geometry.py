@@ -6,6 +6,7 @@ from ttiga.geometry import (
     GeometryError,
     GeometryPatch,
     GridEvaluator,
+    det3,
     make_geometry,
     patch_from_json,
     patch_to_json,
@@ -220,6 +221,19 @@ class TestLines:
         det_p, metric_p = ev.metric(idx)
         assert np.abs(det - det_p).max() <= 1e-13 * np.abs(det_p).max()
         assert np.abs(metric - metric_p).max() <= 1e-13 * np.abs(metric_p).max()
+
+    @pytest.mark.parametrize("name", GEOMETRY_NAMES)
+    def test_det3_matches_lu_det(self, name):
+        # the i3 slabs l2_error evaluates: lines along axis 0 through each i2
+        ev = GridEvaluator(make_geometry(name), _gauss_axes((6, 5, 4)))
+        shape = ev.shape
+        fixed = np.zeros((shape[1], 3), dtype=np.intp)
+        fixed[:, 1] = np.arange(shape[1])
+        for i3 in range(shape[2]):
+            fixed[:, 2] = i3
+            jac, _ = ev.lines(0, fixed)
+            ref = np.linalg.det(jac)
+            assert np.all(np.abs(det3(jac) - ref) <= 1e-13 * np.abs(ref))
 
     def test_pole_raises_like_points(self):
         from ttiga.assembly import metric_oracle

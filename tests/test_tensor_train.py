@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -401,6 +403,110 @@ class TestAmen:
         assert err < 1e-8
 
 
+def count_exact_residuals(monkeypatch):
+    """Counter of the exact residuals amen_solve forms (its tt_matvec calls)."""
+    calls = []
+
+    def counting(A, x):
+        calls.append(1)
+        return tt_matvec(A, x)
+
+    monkeypatch.setattr(amen, "tt_matvec", counting)
+    return calls
+
+
+def relative_residual(A, f, u):
+    return tt_norm(tt_sub(f, tt_matvec(A, u))) / tt_norm(f)
+
+
+class TestProjectedResidual:
+    def test_every_half_sweep_certified(self, monkeypatch):
+        # an estimate of 0 certifies at every half-sweep until one passes
+        monkeypatch.setattr(amen, "_estimate", lambda *args: 0.0)
+        calls = count_exact_residuals(monkeypatch)
+        rng = np.random.default_rng(35)
+        A = laplacian_tt(8)
+        f = tt_round(TtTensor.random((8, 8, 8), (2, 2), rng), 1e-14)
+        res = amen_solve(A, f, 1e-8)
+        assert res.converged and res.residual <= 1e-8
+        assert abs(relative_residual(A, f, res.solution) - res.residual) <= 1e-12
+        # one certificate per half-sweep run, plus the cleanup's
+        assert 2 * res.sweeps <= len(calls) <= 2 * res.sweeps + 1
+
+    def test_failed_certificates_keep_sweeping(self, monkeypatch):
+        monkeypatch.setattr(amen, "_estimate", lambda *args: 0.0)
+        calls = count_exact_residuals(monkeypatch)
+        rng = np.random.default_rng(36)
+        A = laplacian_tt(8)
+        f = tt_round(TtTensor.random((8, 8, 8), (2, 2), rng), 1e-14)
+        res = amen_solve(A, f, 1e-30, AmenOptions(max_sweeps=3))
+        assert not res.converged and res.sweeps == 3
+        assert len(calls) == 2 * 3 + 1
+        assert res.residual == pytest.approx(relative_residual(A, f, res.solution), abs=1e-15)
+
+    def test_max_sweeps_certifies_last_iterate(self, monkeypatch):
+        calls = count_exact_residuals(monkeypatch)
+        rng = np.random.default_rng(37)
+        A = laplacian_tt(16)
+        f = tt_round(TtTensor.random((16, 16, 16), (3, 3), rng), 1e-14)
+        res = amen_solve(A, f, 1e-30, AmenOptions(max_sweeps=2))
+        assert not res.converged and res.sweeps == 2
+        # no estimate reaches 1e-31: one certificate at the end, one cleanup
+        assert len(calls) == 2
+        assert 0 < res.residual
+        assert res.residual == pytest.approx(relative_residual(A, f, res.solution), abs=1e-15)
+
+    @pytest.mark.parametrize("kick_rank", [1, 4, 8])
+    def test_z_rank_capped_by_mode_sizes(self, kick_rank, monkeypatch):
+        # d = 4 with mode sizes 2: z's ranks are capped at (2, 4, 2), which
+        # the end cores see as the row sizes of z's interfaces
+        seen = set()
+        estimate = amen._estimate
+
+        def spy(zl, op, F, zr, x3):
+            seen.add((zl[0].shape[0], zr[0].shape[0]))
+            return estimate(zl, op, F, zr, x3)
+
+        monkeypatch.setattr(amen, "_estimate", spy)
+        rng = np.random.default_rng(38)
+        sizes = (2, 2, 2, 2)
+        terms = [np.array([[3.0, -1.0], [-1.0, 2.0]]) * (k + 1) for k in range(4)]
+        A = None
+        for k in range(4):
+            term = TtMatrix.rank_one(
+                [terms[j] if j == k else np.eye(2) for j in range(4)]
+            )
+            A = term if A is None else tt_add(A, term)
+        A = tt_round(A, 1e-14)
+        f = tt_round(TtTensor.random(sizes, (2, 2, 2), rng), 1e-14)
+        res = amen_solve(A, f, 1e-10, AmenOptions(kick_rank=kick_rank))
+        assert res.converged
+        edge = min(kick_rank, 2)
+        assert seen <= {(edge, 1), (1, edge)} and (edge, 1) in seen
+        ref = np.linalg.solve(A.full(), f.full().ravel())
+        err = np.linalg.norm(res.solution.full().ravel() - ref) / np.linalg.norm(ref)
+        assert err < 1e-8
+
+    def test_log_records(self, caplog):
+        rng = np.random.default_rng(39)
+        A = laplacian_tt(8)
+        f = tt_round(TtTensor.random((8, 8, 8), (2, 2), rng), 1e-14)
+        with caplog.at_level(logging.DEBUG, logger=amen.log.name):
+            res = amen_solve(A, f, 1e-8)
+        msgs = [r.getMessage() for r in caplog.records if r.name == amen.log.name]
+        sweeps = [m for m in msgs if m.startswith("amen sweep")]
+        certs = [m for m in msgs if m.startswith("amen certificate")]
+        assert len(sweeps) in (2 * res.sweeps - 1, 2 * res.sweeps)
+        for m in sweeps:
+            for key in ("est=", "pre_res=", "ranks=", "pcg=", "cg_iters="):
+                assert key in m
+        # the first half-sweep starts from a rough iterate
+        assert float(sweeps[0].split("pre_res=")[1].split()[0]) > 1e-3
+        assert certs and certs[-1].endswith("pass")
+        assert all(m.endswith(("pass", "fail")) and "exact=" in m for m in certs)
+        assert float(certs[-1].split("exact=")[1].split()[0]) <= 1e-8
+
+
 def random_local_system(r0, a, n, b, r1, hb, rng, spd=True):
     """Symmetric local system sum_ab phiL_a (x) M_ab (x) phiR_b and its
     explicit (x, i, z)-ordered matrix; term (0, 0) carries a shift that
@@ -531,6 +637,16 @@ class TestSerialization:
         path = tmp_path / "bad.tt"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValueError):
+            load_tt(path)
+
+    @pytest.mark.parametrize("kind", [2, 7, 255])
+    def test_bad_kind_rejected(self, tmp_path, kind):
+        path = tmp_path / "t.tt"
+        save_tt(path, TtTensor.random((5, 6, 7), (3, 4), np.random.default_rng(45)))
+        raw = bytearray(path.read_bytes())
+        raw[4] = kind
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="kind"):
             load_tt(path)
 
     def test_failed_write_leaves_no_file(self, tmp_path):
