@@ -1,13 +1,17 @@
 """TT-format Galerkin assembly of the Poisson stiffness operator and load.
 
-The nine stiffness contributions pair a cross-interpolated metric
-coefficient on the quadrature grid with per-direction contractions of
+The nine stiffness contributions K_ij pair a cross-interpolated metric
+entry R_ij on the quadrature grid with per-direction contractions of
 basis values or derivatives: the derivative-derivative factor when the
 direction matches both gradient indices, the value-value factor when it
 matches neither, and the mixed factor otherwise (derivative on the test
-side where the direction equals the first index, on the trial side where
-it equals the second, which is what makes the assembled operator exactly
-symmetric). Terms are summed in TT with rounding after each addition.
+side where the direction equals i, on the trial side where it equals j).
+The metric is symmetric, so six crosses serve the nine terms: R_ij with
+i < j feeds both K_ij and K_ji, which makes the operator exactly
+symmetric. Each 1D factor is banded with half-bandwidth p, so the terms
+are contracted into band cores (r, n, 2p+1, r') and summed in TT with
+rounding after each addition; the sum is unpacked to dense operator cores
+once, which leaves K exactly banded.
 
 Dirichlet conditions are eliminated by interior core slicing plus a
 right-hand-side correction with the boundary lift, which preserves both
@@ -20,11 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import GeometryPatch, GridEvaluator, _line_index
+from .geometry import GeometryPatch, GridEvaluator, _line_index, det3
 from .splines import Basis1D, basis_windows, greville_points, tabulate
 from .tensor_train import (
     CrossOracle,
-    CrossResult,
     TtMatrix,
     TtTensor,
     tt_cross,
@@ -40,7 +43,6 @@ __all__ = [
     "BoundarySpec",
     "AssembledSystem",
     "build_quadrature",
-    "cross_metric_coefficient",
     "assemble_stiffness",
     "assemble_load",
     "apply_dirichlet",
@@ -170,13 +172,13 @@ def metric_oracle(ev: GridEvaluator, i: int, j: int) -> CrossOracle:
 
 def load_oracle(ev: GridEvaluator, source) -> CrossOracle:
     """Source times Jacobian determinant on the quadrature grid."""
-    return _grid_oracle(ev, lambda jac, pts, idx: source(pts) * np.linalg.det(jac))
+    return _grid_oracle(ev, lambda jac, pts, idx: source(pts) * det3(jac))
 
 
 def metric_scale(ev: GridEvaluator, rng: np.random.Generator, n_probe: int = 512):
     """RMS magnitude of the whole metric tensor on a random grid probe.
 
-    Used as the common error scale for the nine per-entry cross calls, so
+    Used as the common error scale for the six per-entry cross calls, so
     entries that vanish identically (orthogonal parameterizations) resolve
     as zero instead of fitting round-off noise.
     """
@@ -185,44 +187,40 @@ def metric_scale(ev: GridEvaluator, rng: np.random.Generator, n_probe: int = 512
     return float(np.sqrt(np.mean(R**2)))
 
 
-def cross_metric_coefficient(
-    patch: GeometryPatch,
-    disc: Discretization,
-    i: int,
-    j: int,
-    eps: float,
-    rank_cap: int = 64,
-    rng: np.random.Generator | None = None,
-    evaluator: GridEvaluator | None = None,
-    scale: float | None = None,
-) -> CrossResult:
-    """Cross-interpolate R_ij(xi) over the tensorized quadrature points."""
-    if not (0 <= i < 3 and 0 <= j < 3):
-        raise AssemblyError("metric indices must be in 0..2")
-    ev = evaluator or GridEvaluator(patch, disc.quad_axes())
-    return tt_cross(
-        metric_oracle(ev, i, j), eps, rank_cap=rank_cap, rng=rng, scale=scale
-    )
-
-
 # ---------------------------------------------------------------------------
 # contraction of quadrature-grid trains against basis windows
 
 def _contract_matrix_core(core, tab: _DirTables, test_deriv: bool, trial_deriv: bool):
-    """Quadrature-weighted (r, n, n, r') operator core from one grid core."""
+    """Quadrature-weighted operator core from one grid core, in band form
+    (r, n, 2p+1, r'): entry [:, a, m, :] couples test function a with trial
+    function a + m - p."""
     r, nq, s = core.shape
-    n = tab.starts.max() + tab.vals.shape[1]  # == n_basis for clamped bases
+    p1 = tab.vals.shape[1]
+    n = tab.starts.max() + p1  # == n_basis for clamped bases
     X = tab.ders if test_deriv else tab.vals
     Y = tab.ders if trial_deriv else tab.vals
     E = np.einsum("rqs,q,qa,qb->qabrs", core, tab.weights, X, Y, optimize=True)
-    p1 = X.shape[1]
     offs = np.arange(p1)
-    a_idx = (tab.starts[:, None] + offs[None, :])[:, :, None]
-    b_idx = (tab.starts[:, None] + offs[None, :])[:, None, :]
-    a_idx, b_idx = np.broadcast_arrays(a_idx, b_idx)
-    M = np.zeros((n, n, r, s))
-    np.add.at(M, (a_idx, b_idx), E)
-    return M.transpose(2, 0, 1, 3)
+    rows = tab.starts[:, None, None] + offs[None, :, None]
+    band = (offs[None, :] - offs[:, None] + p1 - 1)[None]
+    rows, band = np.broadcast_arrays(rows, band)
+    B = np.zeros((n, 2 * p1 - 1, r, s))
+    np.add.at(B, (rows, band), E)
+    return B.transpose(2, 0, 1, 3)
+
+
+def _unband(B):
+    """Dense (r, n, n, r') operator core of a band core (r, n, 2p+1, r').
+
+    Band slots that fall outside the matrix are dropped, so the result is
+    exactly banded whatever rounding left in them.
+    """
+    r, n, w, s = B.shape
+    cols = np.arange(n)[:, None] + np.arange(w)[None, :] - w // 2
+    a, m = np.nonzero((cols >= 0) & (cols < n))
+    M = np.zeros((r, n, n, s))
+    M[:, a, cols[a, m], :] = B[:, a, m, :]
+    return M
 
 
 def _contract_vector_core(core, tab: _DirTables):
@@ -246,11 +244,17 @@ def assemble_stiffness(
 ):
     """Assemble the stiffness operator in TT format.
 
-    ``eps_cross`` is the tolerance of the nine metric crosses and
+    Six crosses interpolate the distinct metric entries R_ij, i <= j; each
+    off-diagonal one is contracted into both K_ij and K_ji, which gives the
+    nine terms. The terms are summed in band form, as trains over the fused
+    n*(2p+1) mode, and unpacked to dense operator cores once at the end.
+
+    ``eps_cross`` is the tolerance of the six metric crosses and
     ``eps_round`` that of the rounding after each term is added. Returns
-    ``(K, info)`` where ``info`` records per-term cross errors and both
-    tolerances. ``K`` covers the full coefficient space; apply
-    :func:`apply_dirichlet` to eliminate constrained layers.
+    ``(K, info)`` where ``info`` records per-entry cross errors (keys R11,
+    R12, R13, R22, R23, R33) and both tolerances. ``K`` covers the full
+    coefficient space; apply :func:`apply_dirichlet` to eliminate
+    constrained layers.
     """
     rng = rng or np.random.default_rng()
     ev = GridEvaluator(patch, disc.quad_axes())
@@ -263,28 +267,29 @@ def assemble_stiffness(
         "n_evals": 0,
     }
     K = None
-    for i in range(3):
-        for j in range(3):
-            res = cross_metric_coefficient(
-                patch, disc, i, j, eps_cross, rank_cap=rank_cap, rng=rng,
-                evaluator=ev, scale=scale,
-            )
-            info["cross_errors"][f"R{i + 1}{j + 1}"] = res.holdout_error
-            info["cross_converged"][f"R{i + 1}{j + 1}"] = res.converged
-            info["n_evals"] += res.n_evals
-            cores = []
-            for d in range(3):
-                cores.append(
+    for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+        res = tt_cross(
+            metric_oracle(ev, i, j), eps_cross, rank_cap=rank_cap, rng=rng,
+            scale=scale,
+        )
+        info["cross_errors"][f"R{i + 1}{j + 1}"] = res.holdout_error
+        info["cross_converged"][f"R{i + 1}{j + 1}"] = res.converged
+        info["n_evals"] += res.n_evals
+        for test, trial in ((i, j),) if i == j else ((i, j), (j, i)):
+            term = TtTensor(
+                [
                     _contract_matrix_core(
-                        res.tensor.cores[d],
-                        disc.tables[d],
-                        test_deriv=(d == i),
-                        trial_deriv=(d == j),
-                    )
-                )
-            K_ij = TtMatrix(cores)
-            K = K_ij if K is None else tt_round(K + K_ij, eps_round)
-    return K, info
+                        G, tab, test_deriv=(d == test), trial_deriv=(d == trial)
+                    ).reshape(G.shape[0], -1, G.shape[2])
+                    for d, (G, tab) in enumerate(zip(res.tensor.cores, disc.tables))
+                ]
+            )
+            K = term if K is None else tt_round(K + term, eps_round)
+    cores = [
+        _unband(G.reshape(G.shape[0], n, -1, G.shape[2]))
+        for G, n in zip(K.cores, disc.mode_sizes)
+    ]
+    return TtMatrix(cores), info
 
 
 def assemble_load(
@@ -451,24 +456,9 @@ def _lift_tensor(patch, disc, bc) -> TtTensor:
         V = Vt[:keep]  # (keep, n_other1)
         layer = np.zeros(sizes[axis])
         layer[0 if side == 0 else -1] = 1.0
-        if axis == 0:
-            cores = [
-                layer[None, :, None],
-                Us[None, :, :],
-                V[:, :, None],
-            ]
-        elif axis == 1:
-            cores = [
-                Us[None, :, :],
-                np.einsum("xy,i->xiy", np.eye(keep), layer),
-                V[:, :, None],
-            ]
-        else:
-            cores = [
-                Us[None, :, :],
-                V[:, :, None],
-                layer[None, :, None],
-            ]
+        cores = [Us[None], V[:, :, None]]
+        r = cores[axis - 1].shape[2] if axis else 1
+        cores.insert(axis, np.einsum("xy,i->xiy", np.eye(r), layer))
         lift = tt_round(lift + TtTensor(cores), 1e-14)
     return lift
 

@@ -356,7 +356,7 @@ def cache_dir() -> Path | None:
 
 
 # bump when assembly changes what an entry holds, so stale entries miss
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
 def cache_key(cfg: SolveConfig, what: str) -> str:

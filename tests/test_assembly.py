@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ttiga import assembly
 from ttiga.assembly import (
     AssemblyError,
     BoundarySpec,
     FaceCondition,
+    _contract_matrix_core,
+    _unband,
     apply_dirichlet,
     assemble_load,
     assemble_stiffness,
     build_quadrature,
-    cross_metric_coefficient,
+    metric_oracle,
 )
-from ttiga.geometry import make_geometry
+from ttiga.geometry import GridEvaluator, make_geometry
 from ttiga.splines import Basis1D, KnotVector
-from ttiga.tensor_train import tt_matvec, tt_norm
+from ttiga.tensor_train import amen, tt_cross, tt_matvec, tt_norm
 from ttiga.driver import SolveConfig, discretize
 
 from test_geometry import scaling_patch
@@ -29,6 +34,11 @@ def disc_for(name, degree, elements):
         SolveConfig(geometry=name, degree=degree, elements=elements)
     )
     return patch, disc
+
+
+def metric_cross(patch, disc, i, j, eps, rng):
+    ev = GridEvaluator(patch, disc.quad_axes())
+    return tt_cross(metric_oracle(ev, i, j), eps, rng=rng)
 
 
 TRILINEAR_PATTERN = {0: 1.0 / 3.0, 1: 0.0, 2: -1.0 / 12.0, 3: -1.0 / 12.0}
@@ -71,7 +81,7 @@ class TestMetricCross:
         rng = np.random.default_rng(0)
         for i in range(3):
             for j in range(3):
-                res = cross_metric_coefficient(cube, disc, i, j, 1e-10, rng=rng)
+                res = metric_cross(cube, disc, i, j, 1e-10, rng)
                 expected = 1.0 if i == j else 0.0
                 assert np.abs(res.tensor.full() - expected).max() < 1e-12
                 if i == j:
@@ -82,26 +92,20 @@ class TestMetricCross:
         disc = cube_disc()
         rng = np.random.default_rng(1)
         for i in range(3):
-            res = cross_metric_coefficient(patch, disc, i, i, 1e-10, rng=rng)
+            res = metric_cross(patch, disc, i, i, 1e-10, rng)
             assert np.abs(res.tensor.full() - 2.0).max() < 1e-10
 
     @pytest.mark.parametrize("name", ["ring", "lshape"])
     def test_off_diagonal_symmetry(self, name):
         patch, disc = disc_for(name, 2, 4)
-        r12 = cross_metric_coefficient(
-            patch, disc, 0, 1, 1e-10, rng=np.random.default_rng(2)
-        )
-        r21 = cross_metric_coefficient(
-            patch, disc, 1, 0, 1e-10, rng=np.random.default_rng(3)
-        )
+        r12 = metric_cross(patch, disc, 0, 1, 1e-10, np.random.default_rng(2))
+        r21 = metric_cross(patch, disc, 1, 0, 1e-10, np.random.default_rng(3))
         a, b = r12.tensor.full(), r21.tensor.full()
         scale = max(np.abs(a).max(), np.abs(b).max(), 1e-30)
         assert np.abs(a - b).max() <= 1e-8 * max(scale, 1.0)
 
     def test_unit_cube_det_is_rank_one_constant(self):
-        from ttiga.geometry import GridEvaluator
         from ttiga.assembly import load_oracle
-        from ttiga.tensor_train import tt_cross
 
         cube = make_geometry("unit_cube")
         disc = cube_disc(elements=2)
@@ -110,11 +114,6 @@ class TestMetricCross:
         res = tt_cross(oracle, 1e-10, rng=np.random.default_rng(99))
         assert res.ranks == (1, 1, 1, 1)
         assert np.abs(res.tensor.full() - 1.0).max() < 1e-12
-
-    def test_bad_indices(self):
-        cube = make_geometry("unit_cube")
-        with pytest.raises(AssemblyError):
-            cross_metric_coefficient(cube, cube_disc(), 3, 0, 1e-10)
 
 
 class TestStiffness:
@@ -182,6 +181,72 @@ class TestStiffness:
         system = apply_dirichlet(K, f, bc, disc, patch)
         eigs = np.linalg.eigvalsh(system.K.full())
         assert eigs.min() > 0
+
+    @pytest.mark.parametrize(
+        "name,degree,elements",
+        [("quarter_torus", 2, 4), ("hyperboloid", 2, 8), ("lshape", 1, 8)],
+    )
+    def test_cores_exactly_banded(self, name, degree, elements):
+        """Rounding leaves no fill outside the spline band: every core is
+        zero for |i - j| > p, and AMEn's operator cores read the band."""
+        patch, disc = disc_for(name, degree, elements)
+        K, _ = assemble_stiffness(
+            patch, disc, 1e-10, 1e-10, rng=np.random.default_rng(25)
+        )
+        for G, basis in zip(K.cores, disc.solution_bases):
+            p, n = basis.degree, G.shape[1]
+            far = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > p
+            assert np.all(G[:, far, :] == 0.0)
+            assert amen._OpCore(G).hb == p
+
+    def test_six_crosses(self, monkeypatch):
+        """R is symmetric: R_ij and R_ji share one cross."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return tt_cross(*args, **kwargs)
+
+        monkeypatch.setattr(assembly, "tt_cross", counting)
+        patch, disc = disc_for("quarter_torus", 2, 4)
+        _, info = assemble_stiffness(
+            patch, disc, 1e-10, 1e-10, rng=np.random.default_rng(26)
+        )
+        assert len(calls) == 6
+        assert list(info["cross_errors"]) == ["R11", "R12", "R13", "R22", "R23", "R33"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    degree=st.integers(1, 3),
+    breaks=st.lists(st.floats(0.01, 0.99), max_size=5, unique=True),
+    extra_gauss=st.integers(0, 2),
+    ranks=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    derivs=st.tuples(st.booleans(), st.booleans()),
+    seed=st.integers(0, 2**16),
+)
+def test_band_core_matches_dense_scatter(
+    degree, breaks, extra_gauss, ranks, derivs, seed
+):
+    """The unpacked band core equals the dense scatter of the same
+    quadrature contributions into the (n, n) window pairs."""
+    knots = np.r_[[0.0] * (degree + 1), sorted(breaks), [1.0] * (degree + 1)]
+    basis = Basis1D(KnotVector(knots, degree), None)
+    tab = build_quadrature((basis,) * 3, degree + 1 + extra_gauss).tables[0]
+    rng = np.random.default_rng(seed)
+    core = rng.standard_normal((ranks[0], tab.points.size, ranks[1]))
+    X = tab.ders if derivs[0] else tab.vals
+    Y = tab.ders if derivs[1] else tab.vals
+    n, p1 = basis.n_basis, degree + 1
+    dense = np.zeros((ranks[0], n, n, ranks[1]))
+    for q, start in enumerate(tab.starts):
+        for a in range(p1):
+            for b in range(p1):
+                dense[:, start + a, start + b] += (
+                    tab.weights[q] * X[q, a] * Y[q, b] * core[:, q, :]
+                )
+    got = _unband(_contract_matrix_core(core, tab, *derivs))
+    assert np.allclose(got, dense, rtol=1e-13, atol=1e-14 * np.abs(dense).max())
 
 
 class TestLoad:

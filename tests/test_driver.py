@@ -228,7 +228,8 @@ class TestSolvePoisson:
             geometry="quarter_torus", degree=2, elements=4, source="sin_pi_xyz"
         )
         solve_poisson(cfg)
-        holdout, probe, orientation = 10 * 1000, 512, 5
+        # holdout samples of 6 metric crosses and the load cross
+        holdout, probe, orientation = 7 * 1000, 512, 5
         assert holdout + probe <= counts["points"] <= holdout + probe + orientation
         assert counts["lines"] > 0
 
