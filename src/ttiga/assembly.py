@@ -13,9 +13,11 @@ are contracted into band cores (r, n, 2p+1, r') and summed in TT with
 rounding after each addition; the sum is unpacked to dense operator cores
 once, which leaves K exactly banded.
 
-Dirichlet conditions are eliminated by interior core slicing plus a
-right-hand-side correction with the boundary lift, which preserves both
-symmetry and TT ranks.
+Dirichlet data are constant per face. By the B-spline partition of unity
+a face's coefficient layer equals its value, so the boundary lift is an
+exact rank-1 train built with no geometry evaluation. The conditions are
+eliminated by interior core slicing plus a right-hand-side correction with
+the lift, which preserves both symmetry and TT ranks.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import GeometryPatch, GridEvaluator, _line_index, det3
-from .splines import Basis1D, basis_windows, greville_points, tabulate
+from .geometry import GeometryPatch, GridEvaluator, _is_finite_real, _line_index, det3
+from .splines import Basis1D, basis_windows
 from .tensor_train import (
     CrossOracle,
     TtMatrix,
@@ -135,19 +137,10 @@ def build_quadrature(solution_bases, n_gauss=None) -> Discretization:
 _BATCH = 1 << 15
 
 
-def _batched(fn, idx):
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.shape[0] <= _BATCH:
-        return fn(idx)
-    return np.concatenate(
-        [fn(idx[k: k + _BATCH]) for k in range(0, idx.shape[0], _BATCH)]
-    )
-
-
 def _grid_oracle(ev: GridEvaluator, values) -> CrossOracle:
     """Cross oracle of ``values(jac, pts, idx)`` on the grid of ``ev``:
-    pointwise, and on whole grid lines in chunks of at most ``_BATCH``
-    points."""
+    pointwise (the cross's holdout samples), and on whole grid lines in
+    chunks of at most ``_BATCH`` points (its fibers)."""
 
     def fn(idx):
         jac, pts = ev.jacobians(idx)
@@ -162,7 +155,7 @@ def _grid_oracle(ev: GridEvaluator, values) -> CrossOracle:
             out.append(values(jac, pts, _line_index(ev.shape, k, part)))
         return np.concatenate(out).reshape(fixed.shape[0], ev.shape[k])
 
-    return CrossOracle(lambda idx: _batched(fn, idx), ev.shape, lines)
+    return CrossOracle(fn, ev.shape, lines)
 
 
 def metric_oracle(ev: GridEvaluator, i: int, j: int) -> CrossOracle:
@@ -326,26 +319,23 @@ def assemble_load(
 
 @dataclass(frozen=True)
 class FaceCondition:
-    """Condition on one face of the parametric box."""
+    """Condition on one face of the parametric box.
+
+    A Dirichlet ``value`` is constant over the face: any finite real number
+    (not a bool), stored as a float.
+    """
 
     kind: str  # "dirichlet" | "natural"
-    value: object = None  # scalar or callable (N,3)->(N,) for dirichlet
+    value: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("dirichlet", "natural"):
             raise AssemblyError(f"unknown face condition {self.kind!r}")
-
-    def value_fn(self):
-        v = self.value
-        if callable(v):
-            return v
-        c = 0.0 if v is None else float(v)
-        return lambda pts: np.full(np.asarray(pts).shape[0], c)
-
-    def is_zero(self) -> bool:
-        return not callable(self.value) and (
-            self.value is None or float(self.value) == 0.0
-        )
+        if not _is_finite_real(self.value):
+            raise AssemblyError(
+                f"face value must be a finite number, got {self.value!r}"
+            )
+        object.__setattr__(self, "value", float(self.value))
 
 
 @dataclass(frozen=True)
@@ -407,60 +397,32 @@ def _restrict_matrix(K: TtMatrix, slices) -> TtMatrix:
     return TtMatrix([G[:, s, s, :] for G, s in zip(K.cores, slices)])
 
 
-def _face_coefficients(patch, disc, bc, axis, side):
-    """Coefficient layer reproducing the face values, via Greville
-    interpolation in the two in-face directions."""
-    fc = bc.condition(axis, side)
-    other = [d for d in range(3) if d != axis]
-    gr = [greville_points(disc.solution_bases[d].knot_vector) for d in other]
-    axes = [None, None, None]
-    axes[axis] = np.array([float(side)])
-    axes[other[0]], axes[other[1]] = gr
-    ev = GridEvaluator(patch, axes)
-    fixed = np.zeros((gr[1].size, 3), dtype=np.intp)
-    fixed[:, other[1]] = np.arange(gr[1].size)
-    _, pts = ev.lines(other[0], fixed)
-    G = fc.value_fn()(pts).reshape(gr[1].size, gr[0].size).T
-    colloc = [
-        tabulate(disc.solution_bases[d], g)[0] for d, g in zip(other, gr)
-    ]
-    coeff = np.linalg.solve(colloc[0], G)
-    coeff = np.linalg.solve(colloc[1], coeff.T).T
-    return coeff  # (n_other0, n_other1)
-
-
-def _lift_tensor(patch, disc, bc) -> TtTensor:
-    """TT boundary extension: face coefficient layers, zero in the interior.
+def _lift_tensor(bc: BoundarySpec, sizes) -> TtTensor:
+    """Rank-1 TT boundary extension of the constant Dirichlet data.
 
     Faces with nonzero data must not share an edge (the benchmark problems
-    prescribe nonzero values only on opposite faces).
+    prescribe nonzero values only on opposite faces), so they all lie on
+    one axis. The lift is ones in the two other directions times a vector
+    along that axis holding each face's value at its end, zero elsewhere.
     """
-    sizes = disc.mode_sizes
     nonzero = [
         (axis, side)
         for (axis, side) in bc.dirichlet_faces()
-        if not bc.condition(axis, side).is_zero()
+        if bc.condition(axis, side).value != 0.0
     ]
-    for a, (axis_a, _) in enumerate(nonzero):
-        for axis_b, _ in nonzero[a + 1:]:
-            if axis_a != axis_b:
-                raise AssemblyError(
-                    "nonzero Dirichlet data on adjacent faces is not supported"
-                )
-    lift = TtTensor.zeros(sizes)
-    for axis, side in nonzero:
-        coeff = _face_coefficients(patch, disc, bc, axis, side)
-        U, s, Vt = np.linalg.svd(coeff, full_matrices=False)
-        keep = max(1, int(np.sum(s > 1e-14 * max(s[0], 1e-300))))
-        Us = (U[:, :keep] * s[:keep])  # (n_other0, keep)
-        V = Vt[:keep]  # (keep, n_other1)
-        layer = np.zeros(sizes[axis])
-        layer[0 if side == 0 else -1] = 1.0
-        cores = [Us[None], V[:, :, None]]
-        r = cores[axis - 1].shape[2] if axis else 1
-        cores.insert(axis, np.einsum("xy,i->xiy", np.eye(r), layer))
-        lift = tt_round(lift + TtTensor(cores), 1e-14)
-    return lift
+    axes = {axis for axis, _ in nonzero}
+    if len(axes) > 1:
+        raise AssemblyError(
+            "nonzero Dirichlet data on adjacent faces is not supported"
+        )
+    if not axes:
+        return TtTensor.zeros(sizes)
+    (axis,) = axes
+    vectors = [np.ones(n) for n in sizes]
+    vectors[axis] = np.zeros(sizes[axis])
+    for _, side in nonzero:
+        vectors[axis][0 if side == 0 else -1] = bc.condition(axis, side).value
+    return TtTensor.rank_one(vectors)
 
 
 def apply_dirichlet(
@@ -468,14 +430,15 @@ def apply_dirichlet(
     f: TtTensor,
     bc: BoundarySpec,
     disc: Discretization,
-    patch: GeometryPatch,
     eps: float = 1e-12,
 ) -> AssembledSystem:
     """Reduce to the interior unknowns; boundary data moves to the RHS.
 
-    The reduced right-hand side is restrict(f) - restrict(K @ lift) and the
-    reduced operator is the interior core slice of K, which keeps symmetry
-    and ranks intact.
+    The lift is the rank-1 train of the constant face values (see
+    :func:`_lift_tensor`); no geometry is evaluated. The reduced
+    right-hand side is restrict(f) - restrict(K @ lift), rounded to
+    ``eps``, and the reduced operator is the interior core slice of K,
+    which keeps symmetry and ranks intact.
     """
     if not bc.dirichlet_faces():
         raise AssemblyError("Poisson operator is singular without a Dirichlet face")
@@ -483,9 +446,9 @@ def apply_dirichlet(
     if K.row_sizes != sizes or f.mode_sizes != sizes:
         raise AssemblyError("operator/load sizes do not match the discretization")
     slices = bc.interior_slices(sizes)
-    lift = _lift_tensor(patch, disc, bc)
+    lift = _lift_tensor(bc, sizes)
     f_int = _restrict_tensor(f, slices)
-    if float(np.max(np.abs(lift.cores[0]))) != 0.0:
+    if all(G.any() for G in lift.cores):  # a rank-1 train is zero iff a core is
         correction = _restrict_tensor(tt_matvec(K, lift), slices)
         f_int = tt_round(tt_sub(f_int, correction), eps)
     K_int = _restrict_matrix(K, slices)

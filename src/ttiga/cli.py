@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import BoundarySpec, FaceCondition
+from .assembly import AssemblyError, BoundarySpec, FaceCondition
 from .driver import (
     DriverError,
     OracleRefusedError,
@@ -106,27 +106,34 @@ def _reject_unknown(doc: dict, allowed: set, where: str):
 def _parse_bc(doc) -> BoundarySpec:
     if not isinstance(doc, dict) or set(doc) - {"faces"}:
         raise ConfigError('bc must be {"faces": {...}}')
+    faces_doc = doc.get("faces", {})
+    if not isinstance(faces_doc, dict):
+        raise ConfigError('bc faces must be an object keyed by "axis:side"')
     faces = {}
-    for key, spec in doc.get("faces", {}).items():
-        try:
-            axis_s, side_s = key.split(":")
-            axis, side = int(axis_s), int(side_s)
-        except ValueError as exc:
-            raise ConfigError(f'bad face key {key!r}; use "axis:side"') from exc
-        _reject_unknown(spec, {"type", "value"}, f"bc face {key}")
-        kind = spec.get("type")
-        if kind == "dirichlet":
-            faces[(axis, side)] = FaceCondition("dirichlet", spec.get("value", 0.0))
-        elif kind == "natural":
-            if "value" in spec:
-                raise ConfigError("natural faces take no value")
-            faces[(axis, side)] = FaceCondition("natural")
-        else:
-            raise ConfigError(f"face type must be dirichlet or natural, got {kind!r}")
     try:
+        for key, spec in faces_doc.items():
+            try:
+                axis_s, side_s = key.split(":")
+                axis, side = int(axis_s), int(side_s)
+            except ValueError as exc:
+                raise ConfigError(f'bad face key {key!r}; use "axis:side"') from exc
+            if not isinstance(spec, dict):
+                raise ConfigError(f"bc face {key} must be an object, got {spec!r}")
+            _reject_unknown(spec, {"type", "value"}, f"bc face {key}")
+            kind = spec.get("type")
+            if kind == "dirichlet":
+                faces[(axis, side)] = FaceCondition("dirichlet", spec.get("value", 0.0))
+            elif kind == "natural":
+                if "value" in spec:
+                    raise ConfigError("natural faces take no value")
+                faces[(axis, side)] = FaceCondition("natural")
+            else:
+                raise ConfigError(
+                    f"face type must be dirichlet or natural, got {kind!r}"
+                )
         return BoundarySpec(faces)
-    except Exception as exc:
-        raise ConfigError(str(exc)) from exc
+    except AssemblyError as exc:
+        raise ConfigError(f"bc: {exc}") from exc
 
 
 def parse_run(doc: dict, default_seed: int | None = None) -> tuple[SolveConfig, str | None]:
@@ -596,7 +603,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, DriverError, GeometryError, SplineError) as exc:
+    except (AssemblyError, ConfigError, DriverError, GeometryError, SplineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -32,7 +32,7 @@ from .assembly import (
     assemble_load,
     assemble_stiffness,
     build_quadrature,
-    _face_coefficients,
+    _lift_tensor,
 )
 from .geometry import GeometryPatch, GridEvaluator, det3, make_geometry
 from .splines import Basis1D, KnotVector, eval_basis, tabulate
@@ -131,10 +131,7 @@ def _analytic_ring_radial(cfg, patch):
     cout = cfg.bc.condition(1, 1)
     if cin.kind != "dirichlet" or cout.kind != "dirichlet":
         raise DriverError("ring_radial needs Dirichlet data on both radial faces")
-    if callable(cin.value) or callable(cout.value):
-        raise DriverError("ring_radial needs constant radial face values")
-    u_in = float(cin.value or 0.0)
-    u_out = float(cout.value or 0.0)
+    u_in, u_out = cin.value, cout.value
     log_ratio = np.log(r_out / r_in)
 
     def u(pts):
@@ -156,6 +153,16 @@ ANALYTIC = {
 
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _int_triple(name: str, val) -> tuple:
+    """``val`` as 3 ints: one integer for all directions, or 3 integers."""
+    vals = (val,) * 3 if _is_int(val) else val
+    if not (
+        isinstance(vals, (list, tuple)) and len(vals) == 3 and all(map(_is_int, vals))
+    ):
+        raise DriverError(f"{name} must be an integer or 3 integers, got {val!r}")
+    return tuple(int(v) for v in vals)
 
 
 @dataclass
@@ -183,12 +190,12 @@ class SolveConfig:
         ):
             if not 0.0 < val < 1.0:
                 raise DriverError(f"{name} must lie in (0, 1), got {val}")
-        degs = self.degree if not np.isscalar(self.degree) else (self.degree,) * 3
-        elems = (
-            self.elements if not np.isscalar(self.elements) else (self.elements,) * 3
-        )
-        self.degree = tuple(int(p) for p in degs)
-        self.elements = tuple(int(e) for e in elems)
+        if not isinstance(self.geometry_params, dict):
+            raise DriverError(
+                f"geometry_params must be an object, got {self.geometry_params!r}"
+            )
+        self.degree = _int_triple("degree", self.degree)
+        self.elements = _int_triple("elements", self.elements)
         if any(p < 1 for p in self.degree):
             raise DriverError("degrees must be at least 1")
         if any(e < 1 for e in self.elements):
@@ -202,16 +209,11 @@ class SolveConfig:
                 f"rank_cap must be an integer >= 1, got {self.rank_cap!r}"
             )
         if self.n_gauss is not None:
-            g = [self.n_gauss] * 3 if _is_int(self.n_gauss) else self.n_gauss
-            if not (
-                isinstance(g, (list, tuple))
-                and len(g) == 3
-                and all(_is_int(n) and n >= p + 1 for n, p in zip(g, self.degree))
-            ):
+            g = _int_triple("n_gauss", self.n_gauss)
+            if any(n < p + 1 for n, p in zip(g, self.degree)):
                 raise DriverError(
-                    "n_gauss must be null, an integer or 3 integers, each at "
-                    f"least degree + 1 = {[p + 1 for p in self.degree]}, "
-                    f"got {self.n_gauss!r}"
+                    "n_gauss must be at least degree + 1 = "
+                    f"{[p + 1 for p in self.degree]}, got {self.n_gauss!r}"
                 )
         if self.source not in SOURCES:
             raise DriverError(f"unknown source {self.source!r}")
@@ -522,7 +524,7 @@ def solve_poisson(cfg: SolveConfig) -> SolutionReport:
     timings["t_assemble_f_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    system = apply_dirichlet(K, f, cfg.bc, disc, patch, eps=cfg.eps_round)
+    system = apply_dirichlet(K, f, cfg.bc, disc, eps=cfg.eps_round)
     timings["t_bc_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -576,20 +578,6 @@ class FullGridResult:
     u: np.ndarray  # solved field, boundary coefficients included
     mode_sizes: tuple
     l2_error: float | None = None
-
-
-def _dense_lift(patch, disc, bc) -> np.ndarray:
-    sizes = disc.mode_sizes
-    lift = np.zeros(sizes)
-    for axis, side in bc.dirichlet_faces():
-        fc = bc.condition(axis, side)
-        if fc.is_zero():
-            continue
-        coeff = _face_coefficients(patch, disc, bc, axis, side)
-        sl = [slice(None)] * 3
-        sl[axis] = 0 if side == 0 else sizes[axis] - 1
-        lift[tuple(sl)] = coeff
-    return lift.ravel()
 
 
 def full_grid_reference(cfg: SolveConfig) -> FullGridResult:
@@ -711,7 +699,7 @@ def full_grid_reference(cfg: SolveConfig) -> FullGridResult:
     mask = np.zeros(sizes, dtype=bool)
     mask[slices[0], slices[1], slices[2]] = True
     interior = np.nonzero(mask.ravel())[0]
-    lift = _dense_lift(patch, disc, cfg.bc)
+    lift = _lift_tensor(cfg.bc, sizes).full().ravel()
     rhs = f_vec[interior] - (K @ lift)[interior]
     K_int = K[interior][:, interior]
     if len(interior) <= 50_000:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -367,10 +368,18 @@ def make_geometry(name: str, params: dict | None = None) -> GeometryPatch:
     return _FACTORIES[name](params)
 
 
+def _is_finite_real(x) -> bool:
+    """A finite real number; bools are not numbers here."""
+    return isinstance(x, Real) and not isinstance(x, bool) and bool(np.isfinite(x))
+
+
 def _take(params: dict, defaults: dict) -> dict:
     unknown = set(params) - set(defaults)
     if unknown:
         raise GeometryError(f"unknown geometry parameters: {sorted(unknown)}")
+    for key, val in params.items():
+        msg = f"geometry parameter {key} must be a finite number, got {val!r}"
+        _require(_is_finite_real(val), msg)
     out = dict(defaults)
     out.update(params)
     return out

@@ -28,7 +28,6 @@ __all__ = [
     "find_span",
     "basis_windows",
     "eval_basis",
-    "greville_points",
     "tabulate",
 ]
 
@@ -225,16 +224,6 @@ def eval_basis(basis: Basis1D, xi: float) -> BasisEval:
     """Evaluate the degree+1 nonzero basis functions and derivatives at xi."""
     starts, vals, ders = basis_windows(basis, float(xi))
     return BasisEval(int(starts[0]) + basis.degree, vals[0], ders[0])
-
-
-def greville_points(kv: KnotVector) -> np.ndarray:
-    """Greville abscissae: knot averages, one per basis function."""
-    p = kv.degree
-    if p == 0:
-        return 0.5 * (kv.knots[:-1] + kv.knots[1:])
-    return np.array(
-        [kv.knots[i + 1: i + p + 1].mean() for i in range(kv.n_basis)]
-    )
 
 
 def tabulate(basis: Basis1D, xis: np.ndarray):

@@ -353,7 +353,7 @@ class TestCriterion6PropertySuites:
         dense = K.full()
         sym = np.linalg.norm(dense - dense.T) / np.linalg.norm(dense)
         row = np.abs(dense.sum(axis=1)).max() / np.abs(dense).max()
-        system = apply_dirichlet(K, f, RING_BC, disc, patch)
+        system = apply_dirichlet(K, f, RING_BC, disc)
         lam_min = float(np.linalg.eigvalsh(system.K.full()).min())
         ok = sym <= 1e-10 and row <= 1e-10 and lam_min > 0
         _verdict(

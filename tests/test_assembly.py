@@ -18,7 +18,14 @@ from ttiga.assembly import (
 )
 from ttiga.geometry import GridEvaluator, make_geometry
 from ttiga.splines import Basis1D, KnotVector
-from ttiga.tensor_train import amen, tt_cross, tt_matvec, tt_norm
+from ttiga.tensor_train import (
+    TtMatrix,
+    TtTensor,
+    amen,
+    tt_cross,
+    tt_matvec,
+    tt_norm,
+)
 from ttiga.driver import SolveConfig, discretize
 
 from test_geometry import scaling_patch
@@ -178,7 +185,7 @@ class TestStiffness:
             rng=np.random.default_rng(10),
         )
         bc = BoundarySpec.all_dirichlet(0.0)
-        system = apply_dirichlet(K, f, bc, disc, patch)
+        system = apply_dirichlet(K, f, bc, disc)
         eigs = np.linalg.eigvalsh(system.K.full())
         assert eigs.min() > 0
 
@@ -280,7 +287,7 @@ class TestDirichlet:
             rng=np.random.default_rng(14),
         )
         bc = BoundarySpec.all_dirichlet(0.0)
-        system = apply_dirichlet(K, f, bc, disc, patch)
+        system = apply_dirichlet(K, f, bc, disc)
         sl = system.interior
         assert np.allclose(
             system.f.full(), f.full()[sl[0], sl[1], sl[2]], atol=1e-15
@@ -303,7 +310,7 @@ class TestDirichlet:
                 (0, 1): FaceCondition("dirichlet", 0.0),
             }
         )
-        system = apply_dirichlet(K, f, bc, disc, patch)
+        system = apply_dirichlet(K, f, bc, disc)
         assert system.K.row_sizes == (3, 5, 5)
 
     def test_no_dirichlet_raises(self):
@@ -317,7 +324,7 @@ class TestDirichlet:
             rng=np.random.default_rng(18),
         )
         with pytest.raises(AssemblyError):
-            apply_dirichlet(K, f, BoundarySpec({}), disc, patch)
+            apply_dirichlet(K, f, BoundarySpec({}), disc)
 
     def test_lift_reproduces_constant_faces(self):
         patch, disc = disc_for("ring", 2, 4)
@@ -334,11 +341,57 @@ class TestDirichlet:
                 (1, 1): FaceCondition("dirichlet", 2.0),
             }
         )
-        system = apply_dirichlet(K, f, bc, disc, patch)
+        system = apply_dirichlet(K, f, bc, disc)
         lift = system.lift.full()
-        assert np.allclose(lift[:, 0, :], 1.0, atol=1e-12)
-        assert np.allclose(lift[:, -1, :], 2.0, atol=1e-12)
+        assert np.all(lift[:, 0, :] == 1.0)
+        assert np.all(lift[:, -1, :] == 2.0)
         assert np.all(lift[:, 1:-1, :] == 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(["unit_cube", "ring", "quarter_torus"]),
+        elements=st.integers(1, 4),
+        axis=st.integers(0, 2),
+        sides=st.sampled_from([(0,), (1,), (0, 1)]),
+        values=st.lists(
+            st.one_of(
+                st.just(0),
+                st.integers(-5, 5),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+    )
+    def test_lift_is_rank_one_face_constants(self, name, elements, axis, sides, values):
+        """Constant Dirichlet data give a rank-1 lift whose face layers hold
+        the values exactly and whose other entries are all zero."""
+        _, disc = disc_for(name, 2, elements)
+        sizes = disc.mode_sizes
+        bc = BoundarySpec(
+            {(axis, s): FaceCondition("dirichlet", v) for s, v in zip(sides, values)}
+        )
+        K = TtMatrix.rank_one([np.eye(n) for n in sizes])
+        system = apply_dirichlet(K, TtTensor.ones(sizes), bc, disc)
+        assert system.lift.ranks == (1, 1, 1, 1)
+        assert system.metadata["ranks_lift"] == (1, 1, 1, 1)
+        lift = np.moveaxis(system.lift.full(), axis, 0)
+        expect = np.zeros_like(lift)
+        for s, v in zip(sides, values):
+            expect[0 if s == 0 else -1] = v
+        assert np.array_equal(lift, expect)
+
+    @pytest.mark.parametrize(
+        "value", ["1.0", None, True, np.nan, np.inf, -np.inf, [1.0], lambda p: p]
+    )
+    def test_face_value_must_be_finite_number(self, value):
+        with pytest.raises(AssemblyError):
+            FaceCondition("dirichlet", value)
+
+    def test_face_value_stored_as_float(self):
+        fc = FaceCondition("dirichlet", 2)
+        assert fc.value == 2.0 and type(fc.value) is float
+        assert FaceCondition("natural").value == 0.0
 
     def test_ring_reduced_matches_dense_elimination(self):
         patch, disc = disc_for("ring", 2, 4)
@@ -355,7 +408,7 @@ class TestDirichlet:
                 (1, 1): FaceCondition("dirichlet", 2.0),
             }
         )
-        system = apply_dirichlet(K, f, bc, disc, patch)
+        system = apply_dirichlet(K, f, bc, disc)
         sizes = disc.mode_sizes
         Kd = K.full()
         fd = f.full().ravel()
@@ -389,4 +442,4 @@ class TestDirichlet:
             }
         )
         with pytest.raises(AssemblyError):
-            apply_dirichlet(K, f, bc, disc, patch)
+            apply_dirichlet(K, f, bc, disc)

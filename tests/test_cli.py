@@ -210,7 +210,8 @@ class TestSolveCommand:
         "field,value",
         [("n_gauss", 1), ("n_gauss", [2, 2, 1]), ("n_gauss", [2, 2]),
          ("n_gauss", "3"), ("n_gauss", 2.5), ("rank_cap", 0), ("rank_cap", 1.5),
-         ("rank_cap", None)],
+         ("rank_cap", None), ("degree", "x"), ("degree", 1.5), ("degree", True),
+         ("elements", [2, 2]), ("elements", 2.0), ("geometry_params", 5)],
     )
     def test_bad_run_value_rejected(self, tmp_path, capsys, field, value):
         cfg = write_config(
@@ -222,7 +223,39 @@ class TestSolveCommand:
         assert err.startswith("error:") and field in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("field,value", [("n_gauss", 2), ("n_gauss", [3, 2, 4]), ("rank_cap", 1)])
+    @pytest.mark.parametrize(
+        "run",
+        [dict(CUBE_RUN, bc={"faces": faces}) for faces in (
+            [1],
+            {"0:0": 5},
+            {"0:0": {"type": "dirichlet", "value": "abc"}},
+            # json.dumps writes these as the NaN and Infinity tokens
+            {"0:0": {"type": "dirichlet", "value": float("nan")}},
+            {"0:0": {"type": "dirichlet", "value": float("inf")}},
+            {"0:0": {"type": "dirichlet", "value": True}},
+            {"0:0": {"type": "dirichlet", "value": None}},
+        )] + [
+            {"geometry": "lshape", "degree": 1, "elements": 2,
+             "geometry_params": {"zmax": zmax}}
+            for zmax in ("a", float("inf"), True)
+        ],
+    )
+    def test_malformed_run_exits_with_message(self, tmp_path, capsys, run):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"output_dir": str(tmp_path / "out"), "runs": [run]},
+        )
+        assert main(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n_gauss", 2), ("n_gauss", [3, 2, 4]), ("rank_cap", 1), ("degree", [1, 2, 1]),
+         ("bc", {"faces": {"0:0": {"type": "dirichlet", "value": -1.5}}}),
+         ("bc", {"faces": {"0:0": {"type": "dirichlet", "value": 0}}})],
+    )
     def test_good_run_value_accepted(self, tmp_path, field, value):
         cfg = write_config(
             tmp_path / "cfg.json",

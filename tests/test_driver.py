@@ -154,7 +154,7 @@ class TestSolvePoisson:
         f, _ = assemble_load(
             patch, disc, SOURCES["sin_pi_xy"], cfg2.eps_cross, rng=rng_f
         )
-        system = apply_dirichlet(K, f, cfg2.bc, disc, patch, eps=cfg2.eps_round)
+        system = apply_dirichlet(K, f, cfg2.bc, disc, eps=cfg2.eps_round)
         sl = system.interior
         u_int = TtTensor([G[:, s, :] for G, s in zip(rep.u.cores, sl)])
         res = tt_norm(tt_sub(system.f, tt_matvec(system.K, u_int))) / tt_norm(system.f)
@@ -232,6 +232,32 @@ class TestSolvePoisson:
         holdout, probe, orientation = 7 * 1000, 512, 5
         assert holdout + probe <= counts["points"] <= holdout + probe + orientation
         assert counts["lines"] > 0
+
+    def test_dirichlet_lift_evaluates_no_geometry(self, monkeypatch):
+        """Grid lines are evaluated for the crosses' fibers only: the
+        constant-data lift reads no face grid. Every cross entry beyond its
+        1,000 holdout samples is a fiber entry."""
+        from ttiga import assembly
+        from ttiga.geometry import GridEvaluator
+
+        line_points, n_evals = [], []
+        lines, cross = GridEvaluator.lines, assembly.tt_cross
+
+        def count_lines(self, axis, fixed):
+            line_points.append(len(fixed) * self.shape[axis])
+            return lines(self, axis, fixed)
+
+        def count_cross(*args, **kwargs):
+            res = cross(*args, **kwargs)
+            n_evals.append(res.n_evals)
+            return res
+
+        monkeypatch.setattr(GridEvaluator, "lines", count_lines)
+        monkeypatch.setattr(assembly, "tt_cross", count_cross)
+        rep = solve_poisson(ring_cfg(8, analytic=None))
+        assert rep.solver_converged
+        assert len(n_evals) == 7  # six metric entries and the load
+        assert sum(line_points) == sum(n_evals) - 7 * 1000
 
     def test_one_exact_residual_per_solve(self, monkeypatch):
         """AMEn forms the exact residual f - A u only to certify: on this

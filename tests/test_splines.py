@@ -11,7 +11,6 @@ from ttiga.splines import (
     basis_windows,
     eval_basis,
     find_span,
-    greville_points,
     tabulate,
 )
 
@@ -161,12 +160,6 @@ def test_nurbs_windows_are_quotient_of_weighted_polynomials():
         assert np.array_equal(s_r, s_b)
         assert np.allclose(R, N * w / W, rtol=1e-14, atol=1e-15)
         assert np.allclose(dR, dN * w / W - N * w * dW / W**2, rtol=1e-12, atol=1e-12)
-
-
-def test_greville_points_interpolate_degree_one():
-    kv = KnotVector.open_uniform(1, 4)
-    gr = greville_points(kv)
-    assert np.allclose(gr, np.linspace(0, 1, 5))
 
 
 def test_knot_vector_validation():
