@@ -407,14 +407,19 @@ def _crossover_study(doc, out_dir) -> dict:
     return summary
 
 
+def _floats(flag: str, text: str) -> np.ndarray:
+    try:
+        return np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+
+
 def cmd_dump(args) -> int:
     if args.what == "basis":
         if not args.knots:
             raise ConfigError("dump basis requires --knots")
-        knots = np.array([float(x) for x in args.knots.split(",")])
-        weights = None
-        if args.weights:
-            weights = np.array([float(x) for x in args.weights.split(",")])
+        knots = _floats("--knots", args.knots)
+        weights = _floats("--weights", args.weights) if args.weights else None
         basis = Basis1D(KnotVector(knots, args.degree), weights)
         xs = np.linspace(knots[0], knots[-1], args.samples)
         V, _ = tabulate(basis, xs)
@@ -427,7 +432,10 @@ def cmd_dump(args) -> int:
     elif args.what == "geometry":
         if not args.name:
             raise ConfigError("dump geometry requires --name")
-        params = json.loads(args.params) if args.params else {}
+        try:
+            params = json.loads(args.params) if args.params else {}
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--params is not valid JSON: {exc}") from None
         out = patch_to_json(make_geometry(args.name, params))
     else:  # tt-info
         if not args.path:

@@ -362,7 +362,10 @@ def make_geometry(name: str, params: dict | None = None) -> GeometryPatch:
       ``thickness`` (0.3), ``zmin`` (-1.0), ``zmax`` (1.0).
     * ``quarter_torus`` -- ``r_in`` (0.5), ``r_out`` (1.0), ``R`` (3.0).
     """
-    params = dict(params or {})
+    if params is None:
+        params = {}
+    if not isinstance(params, dict):
+        raise GeometryError(f"geometry params must be an object, got {params!r}")
     if name not in GEOMETRY_NAMES:
         raise GeometryError(f"unknown geometry {name!r}; choose from {GEOMETRY_NAMES}")
     return _FACTORIES[name](params)

@@ -18,9 +18,18 @@ M_k banded (half-bandwidth p), and the core's shape alone picks its solver:
   unknowns ordered mode-major, (i, x, z), which bounds the half-bandwidth by
   (p + 1) r0 r1 - 1; a matrix that is not positive definite falls back to a
   banded LU;
-* every other core is solved by conjugate gradients preconditioned with the
-  banded n x n diagonal blocks of each (x, z) rank pair (block Jacobi, the
-  ``cjacobi`` preconditioner of ``amen_solve2``), factored once per system.
+* every other core is solved by conjugate gradients preconditioned with
+  block Jacobi in per-side frames that diagonalize the interface slices:
+  the banded n x n diagonal blocks of each (x, z) rank pair of the rotated
+  operator, factored once per system. A side with at most two slices is
+  diagonalized exactly by a generalized eigenbasis, so with two slices on
+  both sides the preconditioner is the exact inverse. This is the fast
+  diagonalization of Lynch, Rice & Thomas (Numer. Math. 6, 1964) applied to
+  the local Kronecker sum; ``amen_solve2``'s ``cjacobi`` is the special case
+  of identity frames.
+
+A half-sweep starts at the core where the previous one ended, with the same
+interfaces and right-hand side, so that core's solution is reused.
 
 Each half-sweep logs one debug record: the z estimate, the largest
 pre-solve local residual, ranks, banded and CG local solve counts, and total
@@ -162,6 +171,28 @@ def _banded_solver(ab: np.ndarray):
         return lambda b: sla.solve_banded((bw, bw), full, b, check_finite=False)
 
 
+def _side_frame(phi, weight, trace_w):
+    """Frame of one interface side; see :meth:`_LocalSystem.frames`.
+
+    ``weight[a]`` is slice a's Frobenius weight in the Kronecker sum and
+    ``trace_w[a]`` its coefficient in the side's partial trace.
+    """
+    S = phi[:, int(np.argmax(weight)), :]
+    S = 0.5 * (S + S.T)
+    if phi.shape[1] <= 2:
+        T = np.einsum("xay,a->xy", phi, trace_w)
+        try:
+            C = np.linalg.cholesky(0.5 * (T + T.T))
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            # S q = lam T q through T = C C^T: Q = C^-T W, W the
+            # eigenvectors of C^-1 S C^-T
+            Ci = sla.solve_triangular(C, np.eye(C.shape[0]), lower=True)
+            return Ci.T @ np.linalg.eigh(Ci @ S @ Ci.T)[1]
+    return np.linalg.eigh(S)[1]
+
+
 class _LocalSystem:
     """Projected operator at one core: y -> phiL * A_k * phiR applied to y.
 
@@ -218,12 +249,61 @@ class _LocalSystem:
             )
         return ab
 
+    def frames(self):
+        """Per-side frames Q_L, Q_R in which the interface slices
+        phiL[:, a, :] and phiR[:, b, :] are diagonal, or nearly so.
+
+        Each side starts from its heaviest slice S, the one with the
+        largest Frobenius weight in the Kronecker sum, and its partial trace
+        T (phiL's is Tr_(i,z) of the local operator, SPD whenever that is).
+        A side with at most two slices takes the eigenvectors of the pencil
+        (S, T), which diagonalize every slice; a side with more, or whose T
+        is not positive definite, takes the orthonormal eigenvectors of S.
+        """
+        M = self.op.M
+        nM = np.sqrt(np.einsum("aijb,aijb->ab", M, M))
+        trM = np.einsum("aiib->ab", M)
+        nL = np.linalg.norm(self.phiL, axis=(0, 2))
+        nR = np.linalg.norm(self.phiR, axis=(0, 2))
+        trL = np.einsum("xax->a", self.phiL)
+        trR = np.einsum("zbz->b", self.phiR)
+        return (
+            _side_frame(self.phiL, nL * (nM @ nR), trM @ trR),
+            _side_frame(self.phiR, nR * (nM.T @ nL), trM.T @ trL),
+        )
+
+    def preconditioner(self):
+        """P^-1 as a callable on flat (x, i, z) vectors: block Jacobi in the
+        frames of :meth:`frames`.
+
+        With Q = Q_L (x) I (x) Q_R, P^-1 = Q B^-1 Q^T, where B holds the
+        (x, z) diagonal blocks of Q^T A Q, factored once; P is SPD by
+        congruence whenever B is.
+        """
+        r0, n, r1 = self.shape3
+        QL, QR = self.frames()
+        rot = _LocalSystem(
+            np.einsum("xp,xay,yq->paq", QL, self.phiL, QL, optimize=True),
+            self.op,
+            np.einsum("zp,zbw,wq->pbq", QR, self.phiR, QR, optimize=True),
+        )
+        blocks = _banded_solver(rot.block_jacobi_band())
+
+        def apply(v):
+            w = (QL.T @ v.reshape(r0, n * r1)).reshape(r0 * n, r1) @ QR
+            w = w.reshape(r0, n, r1).transpose(0, 2, 1).ravel()
+            y = blocks(w).reshape(r0, r1, n).transpose(0, 2, 1)
+            y = (QL @ y.reshape(r0, n * r1)).reshape(r0 * n, r1) @ QR.T
+            return y.ravel()
+
+        return apply
+
     def solve(self, rhs3, x0, rtol, cg_maxiter):
         """Local solution and its CG iteration count (None when direct).
 
         A core with a unit rank on either side is solved directly through
-        its mode-major band; any other core by CG preconditioned with the
-        block-Jacobi band.
+        its mode-major band; any other core by CG preconditioned with
+        :meth:`preconditioner`.
         """
         r0, n, r1 = self.shape3
         if min(r0, r1) == 1:
@@ -231,17 +311,12 @@ class _LocalSystem:
                 rhs3.transpose(1, 0, 2).ravel()
             )
             return x.reshape(n, r0, r1).transpose(1, 0, 2), None
-        blocks = _banded_solver(self.block_jacobi_band())
-
-        def precond(v):
-            v = v.reshape(self.shape3).transpose(0, 2, 1).ravel()
-            return blocks(v).reshape(r0, r1, n).transpose(0, 2, 1).ravel()
 
         A = spla.LinearOperator(
             (self.size, self.size),
             matvec=lambda v: self.matvec3(v.reshape(self.shape3)).ravel(),
         )
-        M = spla.LinearOperator((self.size, self.size), matvec=precond)
+        M = spla.LinearOperator((self.size, self.size), matvec=self.preconditioner())
         iters = 0
 
         def count(_):
@@ -397,6 +472,9 @@ def amen_solve(
     # the last truncation rank at each interface seeds the next search
     last_rank = list(TtTensor(u).ranks)
     est = 1.0  # relative residual estimate; that of the zero iterate
+    # the last end core solved; the next half-sweep starts there, with the
+    # same interfaces and right-hand side, so its solution is u's core
+    solved = None
     rel_res = None  # exact relative residual of the current iterate
     converged = False
     sweeps = 0
@@ -415,14 +493,17 @@ def amen_solve(
                 if log.isEnabledFor(logging.DEBUG):
                     pre_res = max(pre_res, np.linalg.norm(sys_.matvec3(u[k]) - rhs3))
                 rtol = min(0.1, tau_abs / max(np.linalg.norm(rhs3), 1e-300))
-                x3, iters = sys_.solve(rhs3, u[k], rtol, opts.cg_maxiter)
-                if iters is None:
-                    n_banded += 1
+                if k == solved:
+                    x3 = u[k]
                 else:
-                    n_pcg += 1
-                    cg_iters += iters
+                    x3, iters = sys_.solve(rhs3, u[k], rtol, opts.cg_maxiter)
+                    if iters is None:
+                        n_banded += 1
+                    else:
+                        n_pcg += 1
+                        cg_iters += iters
                 if k == (d - 1 if forward else 0):
-                    u[k] = x3
+                    u[k], solved = x3, k
                     est = _estimate(zL[k], ops[k], F, zR[k + 1], x3) / fnorm
                     break
                 achieved = np.linalg.norm(sys_.matvec3(x3) - rhs3)

@@ -347,6 +347,34 @@ class TestDumpCommand:
         with pytest.raises(SystemExit):
             main(["dump", "nonsense"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["geometry", "--name", "ring", "--params", "5"],
+            ["geometry", "--name", "ring", "--params", "abc"],
+            ["basis", "--knots", "0,0,a,1", "--degree", "1"],
+            ["basis", "--knots", "0,0,1,1", "--degree", "1", "--weights", "1,x"],
+        ],
+        ids=["params-not-object", "params-not-json", "bad-knot", "bad-weight"],
+    )
+    def test_malformed_input_rejected(self, argv, capsys):
+        assert main(["dump", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["geometry", "--name", "ring", "--params", '{"r_in": 0.4}'],
+            ["basis", "--knots", "0,0,1,1", "--degree", "1", "--weights", "1,2"],
+        ],
+        ids=["geometry", "basis"],
+    )
+    def test_wellformed_input_accepted(self, argv, capsys):
+        assert main(["dump", *argv]) == 0
+        assert capsys.readouterr().out
+
     def test_tt_info_on_cached_operator(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TTIGA_CACHE_DIR", str(tmp_path / "cache"))
         cfg = write_config(

@@ -1,4 +1,5 @@
 import json
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -279,6 +280,26 @@ class TestSolvePoisson:
         rep = solve_poisson(cfg)
         assert rep.solver_converged and rep.residual <= cfg.eps_solve
         assert len(calls) == 2
+
+    def test_middle_core_cg_iterations(self, caplog):
+        # the frame preconditioner; identity-frame block Jacobi took 36
+        cfg = SolveConfig(
+            geometry="quarter_torus", degree=2, elements=16, source="sin_pi_xyz"
+        )
+        with caplog.at_level(logging.DEBUG, logger="ttiga.tensor_train.amen"):
+            rep = solve_poisson(cfg)
+        assert rep.solver_converged
+        halves = [
+            r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("amen sweep")
+        ]
+        assert sum(int(m.split("cg_iters=")[1]) for m in halves) <= 18
+
+    def test_ring_lift_one_sweep(self):
+        # both middle-core interfaces carry two slices: the preconditioner
+        # is exact, and identity-frame block Jacobi took 2 sweeps
+        rep = solve_poisson(ring_cfg(16))
+        assert rep.solver_converged and rep.sweeps == 1
 
     def test_invalid_configs(self):
         with pytest.raises(DriverError):

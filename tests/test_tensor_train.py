@@ -507,6 +507,27 @@ class TestProjectedResidual:
         assert float(certs[-1].split("exact=")[1].split()[0]) <= 1e-8
 
 
+def test_end_core_solution_reused(monkeypatch, caplog):
+    # every half-sweep after the first starts at the previous end core and
+    # takes its solution instead of solving it again
+    solves = []
+    solve = amen._LocalSystem.solve
+
+    def counting(self, *args):
+        solves.append(1)
+        return solve(self, *args)
+
+    monkeypatch.setattr(amen._LocalSystem, "solve", counting)
+    rng = np.random.default_rng(39)
+    A = laplacian_tt(8)
+    f = tt_round(TtTensor.random((8, 8, 8), (2, 2), rng), 1e-14)
+    with caplog.at_level(logging.DEBUG, logger=amen.log.name):
+        res = amen_solve(A, f, 1e-10)
+    halves = [r for r in caplog.records if r.getMessage().startswith("amen sweep")]
+    assert res.converged and len(halves) >= 2
+    assert len(solves) == 3 + 2 * (len(halves) - 1)
+
+
 def random_local_system(r0, a, n, b, r1, hb, rng, spd=True):
     """Symmetric local system sum_ab phiL_a (x) M_ab (x) phiR_b and its
     explicit (x, i, z)-ordered matrix; term (0, 0) carries a shift that
@@ -581,6 +602,50 @@ class TestLocalSolve:
                 blk = Bt[x, :, z, x, :, z]
                 for m in range(3):
                     assert np.allclose(ab[m, x, z, : n - m], np.diagonal(blk, -m))
+        rhs3 = rng.standard_normal(sys_.shape3)
+        x3, iters = sys_.solve(rhs3, None, 1e-12, 500)
+        assert iters is not None and iters > 0
+        ref = np.linalg.solve(B, rhs3.ravel())
+        assert np.linalg.norm(x3.ravel() - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 4), st.integers(1, 2), st.integers(1, 2), st.integers(2, 4),
+        st.integers(4, 10), st.integers(0, 2), st.integers(0, 2**32 - 1),
+    )
+    def test_two_slice_frames_invert_exactly(self, r0, a, b, r1, n, hb, seed):
+        # with at most two slices per side the frames diagonalize every
+        # slice, so the rotated block Jacobi is the exact inverse
+        rng = np.random.default_rng(seed)
+        phiL, M, phiR, B = random_local_system(r0, a, n, b, r1, hb, rng)
+        sys_ = amen._LocalSystem(phiL, amen._OpCore(M), phiR)
+        rhs3 = rng.standard_normal(sys_.shape3)
+        x3, iters = sys_.solve(rhs3, None, 1e-12, 500)
+        assert iters is not None and iters <= 2
+        ref = np.linalg.solve(B, rhs3.ravel())
+        assert np.linalg.norm(x3.ravel() - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("a,b", [(3, 3), (3, 4), (4, 3), (4, 4)])
+    def test_many_slice_preconditioner_spd(self, a, b):
+        rng = np.random.default_rng(62 + 4 * a + b)
+        r0, n, r1 = 3, 9, 4
+        phiL, M, phiR, B = random_local_system(r0, a, n, b, r1, 2, rng)
+        # a congruence G (x) I (x) H keeps the system SPD and makes the
+        # identity slices the helper puts first non-diagonal
+        G = np.eye(r0) + 0.3 * rng.standard_normal((r0, r0))
+        H = np.eye(r1) + 0.3 * rng.standard_normal((r1, r1))
+        phiL = np.einsum("xp,xay,yq->paq", G, phiL, G)
+        phiR = np.einsum("zp,zbw,wq->pbq", H, phiR, H)
+        K = np.kron(np.kron(G, np.eye(n)), H)
+        B = K.T @ B @ K
+        sys_ = amen._LocalSystem(phiL, amen._OpCore(M), phiR)
+        QL, QR = sys_.frames()
+        assert not np.allclose(np.abs(QL), np.eye(r0))
+        assert not np.allclose(np.abs(QR), np.eye(r1))
+        apply = sys_.preconditioner()
+        P = np.column_stack([apply(e) for e in np.eye(sys_.size)])
+        assert np.allclose(P, P.T, atol=1e-10 * np.abs(P).max())
+        assert np.linalg.eigvalsh(0.5 * (P + P.T))[0] > 0
         rhs3 = rng.standard_normal(sys_.shape3)
         x3, iters = sys_.solve(rhs3, None, 1e-12, 500)
         assert iters is not None and iters > 0
