@@ -8,10 +8,11 @@ matches neither, and the mixed factor otherwise (derivative on the test
 side where the direction equals i, on the trial side where it equals j).
 The metric is symmetric, so six crosses serve the nine terms: R_ij with
 i < j feeds both K_ij and K_ji, which makes the operator exactly
-symmetric. Each 1D factor is banded with half-bandwidth p, so the terms
-are contracted into band cores (r, n, 2p+1, r') and summed in TT with
-rounding after each addition; the sum is unpacked to dense operator cores
-once, which leaves K exactly banded.
+symmetric, and each cross's oracle forms only its own entry. Each 1D
+factor is banded with half-bandwidth p, so the terms are contracted into
+band cores (r, n, 2p+1, r') and summed in TT with rounding after each
+addition; the sum is unpacked to dense operator cores once, which leaves K
+exactly banded.
 
 Dirichlet data are constant per face. By the B-spline partition of unity
 a face's coefficient layer equals its value, so the boundary lift is an
@@ -159,8 +160,9 @@ def _grid_oracle(ev: GridEvaluator, values) -> CrossOracle:
 
 
 def metric_oracle(ev: GridEvaluator, i: int, j: int) -> CrossOracle:
-    """Entry (i, j) of the metric factor, sampled on the quadrature grid."""
-    return _grid_oracle(ev, lambda jac, pts, idx: ev._metric_of(jac, idx)[1][:, i, j])
+    """Entry (i, j) of the metric factor, sampled on the quadrature grid;
+    only that entry is formed at each point."""
+    return _grid_oracle(ev, lambda jac, pts, idx: ev.metric_entry(jac, idx, i, j))
 
 
 def load_oracle(ev: GridEvaluator, source) -> CrossOracle:

@@ -476,10 +476,9 @@ def _check_report(doc: dict):
             raise ConfigError(f"report is missing {key!r}")
         if not isinstance(doc[key], typ):
             raise ConfigError(f"report field {key!r} has the wrong type")
-    if doc.get("l2_error") is not None and not isinstance(
-        doc["l2_error"], (int, float)
-    ):
-        raise ConfigError("l2_error must be a number or null")
+    for key in ("l2_error", "rel_l2_error"):
+        if doc.get(key) is not None and not isinstance(doc[key], (int, float)):
+            raise ConfigError(f"{key} must be a number or null")
 
 
 def _check_csv(text: str):

@@ -57,6 +57,7 @@ __all__ = [
     "ANALYTIC",
     "solve_poisson",
     "l2_error",
+    "error_norms",
     "full_grid_reference",
     "FullGridResult",
     "OracleRefusedError",
@@ -242,6 +243,7 @@ class SolutionReport:
     dofs: int
     mode_sizes: tuple
     l2_error: float | None
+    rel_l2_error: float | None
     residual: float
     solver_converged: bool
     cross_converged: bool
@@ -253,6 +255,7 @@ class SolutionReport:
     compression_u: float
     timings: dict
     sweeps: int
+    cross_evals: dict
 
     def metrics_dict(self) -> dict:
         """Deterministic metric fields (no timings)."""
@@ -264,6 +267,7 @@ class SolutionReport:
             "dofs": self.dofs,
             "mode_sizes": list(self.mode_sizes),
             "l2_error": self.l2_error,
+            "rel_l2_error": self.rel_l2_error,
             "residual": self.residual,
             "solver_converged": self.solver_converged,
             "cross_converged": self.cross_converged,
@@ -274,6 +278,7 @@ class SolutionReport:
             "compression_f": self.compression_f,
             "compression_u": self.compression_u,
             "sweeps": self.sweeps,
+            "cross_evals": dict(self.cross_evals),
         }
 
     def to_json(self) -> str:
@@ -358,7 +363,7 @@ def cache_dir() -> Path | None:
 
 
 # bump when assembly changes what an entry holds, so stale entries miss
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 
 def cache_key(cfg: SolveConfig, what: str) -> str:
@@ -441,9 +446,14 @@ def _grid_value_tables(disc: Discretization):
     ]
 
 
-def l2_error(u: TtTensor, analytic_fn, patch: GeometryPatch, disc: Discretization):
-    """Normalized error integral |u - u_exact| over |u_exact|, with the
-    volume element included, on the assembly quadrature grid."""
+def error_norms(u: TtTensor, analytic_fn, patch: GeometryPatch, disc: Discretization):
+    """Relative L1 and L2 errors of ``u`` against ``analytic_fn``.
+
+    Returns ``(rel_l1, rel_l2)``: the integral of |u - u_exact| over that of
+    |u_exact|, and the root of the integral of (u - u_exact)^2 over that of
+    u_exact^2. Both include the volume element and use the assembly
+    quadrature grid, one i3 slab at a time.
+    """
     Bq = _grid_value_tables(disc)
     V = [
         np.einsum("rns,qn->rqs", u.cores[d], Bq[d], optimize=True) for d in range(3)
@@ -453,8 +463,7 @@ def l2_error(u: TtTensor, analytic_fn, patch: GeometryPatch, disc: Discretizatio
     nq = disc.quad_shape
     w1, w2, w3 = (disc.tables[d].weights for d in range(3))
     w12 = np.outer(w1, w2)
-    num = 0.0
-    den = 0.0
+    num = den = num2 = den2 = 0.0
     # slab i3: one grid line along axis 0 through each i2
     fixed = np.zeros((nq[1], 3), dtype=np.intp)
     fixed[:, 1] = np.arange(nq[1])
@@ -465,11 +474,21 @@ def l2_error(u: TtTensor, analytic_fn, patch: GeometryPatch, disc: Discretizatio
         u_exact = analytic_fn(pts).reshape(nq[1], nq[0]).T
         u_num = np.einsum("qpc,c->qp", T12, V[2][:, i3, 0], optimize=True)
         wdet = w12 * w3[i3] * det
-        num += float(np.sum(wdet * np.abs(u_num - u_exact)))
+        diff = u_num - u_exact
+        num += float(np.sum(wdet * np.abs(diff)))
         den += float(np.sum(wdet * np.abs(u_exact)))
+        num2 += float(np.sum(wdet * diff**2))
+        den2 += float(np.sum(wdet * u_exact**2))
     if den == 0.0:
         raise DriverError("analytic solution has zero norm on this domain")
-    return num / den
+    return num / den, float(np.sqrt(num2 / den2))
+
+
+def l2_error(u: TtTensor, analytic_fn, patch: GeometryPatch, disc: Discretization):
+    """Normalized error integral |u - u_exact| over |u_exact|, with the
+    volume element included, on the assembly quadrature grid: the relative
+    L1 error of :func:`error_norms`, which the report keeps as ``l2_error``."""
+    return error_norms(u, analytic_fn, patch, disc)[0]
 
 
 def fit_slope(points_per_edge, errors) -> float:
@@ -540,11 +559,11 @@ def solve_poisson(cfg: SolveConfig) -> SolutionReport:
         1e-14,
     )
 
-    err = None
+    err = err_l2 = None
     t0 = time.perf_counter()
     if cfg.analytic is not None:
         analytic_fn = ANALYTIC[cfg.analytic](cfg, patch)
-        err = l2_error(u_full, analytic_fn, patch, disc)
+        err, err_l2 = error_norms(u_full, analytic_fn, patch, disc)
     timings["t_error_s"] = time.perf_counter() - t0
 
     cross_ok = all(k_info["cross_converged"].values()) and f_info["cross_converged"]
@@ -554,6 +573,7 @@ def solve_poisson(cfg: SolveConfig) -> SolutionReport:
         dofs=disc.n_dofs,
         mode_sizes=disc.mode_sizes,
         l2_error=err,
+        rel_l2_error=err_l2,
         residual=result.residual,
         solver_converged=result.converged,
         cross_converged=bool(cross_ok),
@@ -565,6 +585,7 @@ def solve_poisson(cfg: SolveConfig) -> SolutionReport:
         compression_u=compression_ratio(u_full),
         timings=timings,
         sweeps=result.sweeps,
+        cross_evals={"K": k_info["n_evals"], "f": f_info["n_evals"]},
     )
 
 

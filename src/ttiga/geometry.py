@@ -213,7 +213,30 @@ class GridEvaluator:
         :class:`SingularMapError` where |det J| falls below the singularity
         threshold.
         """
-        det = np.linalg.det(jac)
+        det = det3(jac)
+        self._check_regular(det, idx)
+        # rows of the cofactor matrix C = adj(J)^T: J1 x J2, J2 x J0, J0 x J1
+        cof = np.cross(jac[:, [1, 2, 0], :], jac[:, [2, 0, 1], :])
+        metric = np.einsum("nki,nkj->nij", cof, cof) / det[:, None, None]
+        return det, metric
+
+    def metric_entry(self, jac, idx, i: int, j: int) -> np.ndarray:
+        """Entry (i, j) (N,) of the metric factors of the Jacobians ``jac``
+        at ``idx``, forming no other entry.
+
+        R_ij = (c_i . c_j) / det J, where c_i = J[:, i+1] x J[:, i+2] (indices
+        mod 3) is column i of the cofactor matrix and det J = J[:, i] . c_i.
+        Raises like :meth:`metric`.
+        """
+        ci = _cofactor_column(jac, i)
+        det = np.einsum("nk,nk->n", jac[:, :, i], ci)
+        self._check_regular(det, idx)
+        cj = ci if j == i else _cofactor_column(jac, j)
+        return np.einsum("nk,nk->n", ci, cj) / det
+
+    def _check_regular(self, det, idx):
+        """Raise :class:`SingularMapError` at the first grid point of ``idx``
+        whose |det J| falls below the singularity threshold."""
         bad = np.abs(det) < self._sing_tol
         if np.any(bad):
             k = int(np.nonzero(bad)[0][0])
@@ -221,10 +244,11 @@ class GridEvaluator:
                 float(self.axes_points[d][np.asarray(idx)[k, d]]) for d in range(3)
             )
             raise SingularMapError(f"singular geometry map at xi={xi}")
-        # rows of the cofactor matrix C = adj(J)^T: J1 x J2, J2 x J0, J0 x J1
-        cof = np.cross(jac[:, [1, 2, 0], :], jac[:, [2, 0, 1], :])
-        metric = np.einsum("nki,nkj->nij", cof, cof) / det[:, None, None]
-        return det, metric
+
+
+def _cofactor_column(jac, i: int) -> np.ndarray:
+    """Column i (N, 3) of the cofactor matrices of ``jac``: J[:, i+1] x J[:, i+2]."""
+    return np.cross(jac[:, :, (i + 1) % 3], jac[:, :, (i + 2) % 3])
 
 
 def det3(jac) -> np.ndarray:

@@ -1,14 +1,18 @@
 """Rank-adaptive cross interpolation driven by maxvol pivoting.
 
-Alternating left/right sweeps maintain nested row/column index sets chosen
-by :func:`maxvol` on the unfolding fibers; after every full sweep the
-current train is validated on a fixed random holdout sample. Ranks grow
-until the holdout relative RMS error meets the tolerance or the rank cap
-is reached.
+Alternating left/right half-sweeps maintain nested row/column index sets
+chosen by :func:`maxvol` on the unfolding fibers, and each half builds an
+interpolating train from its fibers. After every half-sweep the train is
+validated on a fixed random holdout sample, and the cross stops at the
+first half whose holdout relative RMS error meets the tolerance. Ranks
+double after each sweep that misses it, until the rank cap is reached.
+Each half-sweep logs one debug record: its direction, the ranks, the
+evaluations so far and the holdout error.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,6 +22,8 @@ from .core import TtTensor, tt_round
 from .maxvol import maxvol
 
 __all__ = ["CrossOracle", "CrossResult", "tt_cross"]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -124,10 +130,17 @@ def tt_cross(
 ) -> CrossResult:
     """Build a TT approximation of the oracle's grid function.
 
-    Terminates when the holdout relative root-mean-square error drops to
-    ``eps``, when the ranks reach ``rank_cap``, or after ``max_sweeps``
-    sweeps. Hitting the cap with error above ``10 * eps`` flags
-    ``converged=False`` in the result rather than raising.
+    Each sweep is a left-to-right half, which builds the row sets and the
+    interpolation train Q inv(Q[sel]) ... C_last, then a right-to-left
+    half, which builds the column sets and the train C_first inv(Q[sel])^T
+    Q^T ... . The holdout relative root-mean-square error is checked after
+    every half, and the cross stops at the first half that meets ``eps``.
+    The right-to-left half starts from the left-to-right half's last fiber
+    matrix instead of evaluating it again. A sweep that misses ``eps``
+    doubles the ranks for the next one. The cross also stops when the
+    ranks reach ``rank_cap`` or after ``max_sweeps`` sweeps; ``sweeps``
+    counts the sweeps begun. Hitting the cap with error above ``10 * eps``
+    flags ``converged=False`` in the result rather than raising.
 
     ``scale`` normalizes the holdout error; it defaults to the holdout RMS
     of the function itself. Callers approximating one term of a sum should
@@ -135,12 +148,16 @@ def tt_cross(
     against it (down to exact zeros polluted by round-off) resolve as zero
     instead of chasing noise into the rank cap.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    if scale is not None and not np.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale!r}")
     if rank_cap < 1:
         raise ValueError("rank_cap must be at least 1")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
+    if holdout_size < 1:
+        raise ValueError("holdout_size must be at least 1")
     rng = rng or np.random.default_rng()
     sizes = tuple(int(n) for n in oracle.mode_sizes)
     d = len(sizes)
@@ -171,17 +188,26 @@ def tt_cross(
         approx = tt.gather(hold_idx)
         return float(np.sqrt(np.mean((approx - hold_vals) ** 2))) / scale
 
-    err = np.inf
-    cores = None
-    sweeps_done = 0
+    def check(cores, sweep, half):
+        tt = TtTensor(cores)
+        err = holdout_error(tt)
+        log.debug(
+            "cross sweep %d %s: ranks=%s evals=%d holdout=%.3e",
+            sweep, half, tt.ranks, fn.n, err,
+        )
+        return err
+
     for sweep in range(max_sweeps):
-        # left-to-right: rebuild nested row sets
+        sweeps_done = sweep + 1
+        # left-to-right: rebuild nested row sets and the interpolation cores
+        cores = [None] * d
         left_sets = [[()]]
         for k in range(d - 1):
-            right = right_sets[k]
-            C = _fiber_matrix(fn, left_sets[k], sizes[k], right, k, d)
+            C = _fiber_matrix(fn, left_sets[k], sizes[k], right_sets[k], k, d)
             Q, _ = np.linalg.qr(C)
             sel = maxvol(Q)
+            core = np.linalg.solve(Q[sel].T, Q.T).T  # Q inv(Q[sel])
+            cores[k] = core.reshape(len(left_sets[k]), sizes[k], len(sel))
             combined = [
                 il + (ik,)
                 for il in left_sets[k]
@@ -189,13 +215,20 @@ def tt_cross(
             ]
             left_sets.append([combined[s] for s in sel])
             ranks[k] = len(sel)
+        C = _fiber_matrix(fn, left_sets[d - 1], sizes[d - 1], [()], d - 1, d)
+        cores[d - 1] = C.reshape(len(left_sets[d - 1]), sizes[d - 1], 1)
+        err = check(cores, sweeps_done, "fwd")
+        if err <= eps:
+            break
 
-        # right-to-left: rebuild nested column sets and the cores
+        # right-to-left: rebuild nested column sets and the cores, starting
+        # from the last fiber matrix C of the left-to-right half
         cores = [None] * d
         right_sets = [None] * (d - 1)
         cur_right = [()]
         for k in range(d - 1, 0, -1):
-            C = _fiber_matrix(fn, left_sets[k], sizes[k], cur_right, k, d)
+            if k < d - 1:
+                C = _fiber_matrix(fn, left_sets[k], sizes[k], cur_right, k, d)
             nl, nr = len(left_sets[k]), len(cur_right)
             Ct = C.reshape(nl, sizes[k] * nr).T
             Q, _ = np.linalg.qr(Ct)
@@ -210,9 +243,7 @@ def tt_cross(
             ranks[k - 1] = len(sel)
         C = _fiber_matrix(fn, [()], sizes[0], cur_right, 0, d)
         cores[0] = C.reshape(1, sizes[0], len(cur_right))
-
-        sweeps_done = sweep + 1
-        err = holdout_error(TtTensor(cores))
+        err = check(cores, sweeps_done, "bwd")
         if err <= eps:
             break
         if all(r >= m for r, m in zip(ranks, max_rank_at)):

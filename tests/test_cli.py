@@ -42,6 +42,8 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg)]) == 0
         report = json.loads((tmp_path / "out" / "unit_cube_p1_e2.json").read_text())
         assert "l2_error" in report and report["l2_error"] is not None
+        assert report["rel_l2_error"] is not None
+        assert sorted(report["cross_evals"]) == ["K", "f"]
         rows = read_csv(tmp_path / "out" / "experiment.csv")
         assert len(rows) == 1
         assert rows[0]["geometry"] == "unit_cube"
@@ -429,6 +431,19 @@ class TestCheckCommand:
         bad = tmp_path / "report.json"
         bad.write_text(json.dumps({"residual": 1.0}))
         assert main(["check", str(bad)]) == 1
+
+    @pytest.mark.parametrize("key", ["l2_error", "rel_l2_error"])
+    def test_non_numeric_error_field_rejected(self, tmp_path, key):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"output_dir": str(tmp_path / "out"), "seed": 0, "runs": [CUBE_RUN]},
+        )
+        assert main(["solve", "--config", str(cfg)]) == 0
+        path = tmp_path / "out" / "unit_cube_p1_e2.json"
+        doc = json.loads(path.read_text())
+        doc[key] = "small"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 1
 
     @pytest.mark.parametrize("damage", ["bad_magic", "truncated_cores"])
     @pytest.mark.parametrize("command", ["check", "tt-info"])

@@ -14,6 +14,7 @@ from ttiga.driver import (
     cache_key,
     compression_ratio,
     discretize,
+    error_norms,
     evaluate_field,
     fit_slope,
     full_grid_reference,
@@ -295,6 +296,19 @@ class TestSolvePoisson:
         ]
         assert sum(int(m.split("cg_iters=")[1]) for m in halves) <= 18
 
+    def test_cross_evaluation_counts(self):
+        # each cross stops at its first passing half-sweep, and a backward
+        # half reuses the forward half's last fiber matrix; crosses that
+        # always finished their sweep evaluated 18,144 and 38,200 points
+        cfg = SolveConfig(
+            geometry="quarter_torus", degree=2, elements=16, source="sin_pi_xyz"
+        )
+        rep = solve_poisson(cfg)
+        assert rep.cross_converged
+        assert rep.cross_evals == {"K": 14_112, "f": 25_144}
+        doc = json.loads(rep.to_json())
+        assert doc["cross_evals"] == rep.metrics_dict()["cross_evals"] == rep.cross_evals
+
     def test_ring_lift_one_sweep(self):
         # both middle-core interfaces carry two slices: the preconditioner
         # is exact, and identity-frame block Jacobi took 2 sweeps
@@ -335,6 +349,8 @@ class TestL2Error:
 
         err = l2_error(tt_scale(u, 2.0), field_fn, patch, disc)
         assert abs(err - 1.0) <= 1e-12
+        l1, l2 = error_norms(tt_scale(u, 2.0), field_fn, patch, disc)
+        assert l1 == err and abs(l2 - 1.0) <= 1e-12
 
     @pytest.mark.parametrize(
         "cfg",
@@ -370,6 +386,31 @@ class TestL2Error:
             num += np.sum(w * np.abs(u[:, :, i3].ravel() - ue))
             den += np.sum(w * np.abs(ue))
         assert abs(rep.l2_error - num / den) <= 1e-12 * (num / den)
+
+    def test_rel_l2_matches_point_path_slabs(self):
+        from ttiga.geometry import GridEvaluator
+        from ttiga.splines import tabulate
+
+        rep = solve_poisson(ring_cfg(4))
+        patch, cfg, disc = discretize(ring_cfg(4))
+        exact = driver.ANALYTIC[cfg.analytic](cfg, patch)
+        ev = GridEvaluator(patch, disc.quad_axes())
+        nq = disc.quad_shape
+        B = [tabulate(disc.solution_bases[d], disc.tables[d].points)[0] for d in range(3)]
+        u = np.einsum(
+            "ai,bj,ck,ijk->abc", B[0], B[1], B[2], rep.u.full(), optimize=True
+        )
+        grid = np.indices(nq).reshape(3, -1).T
+        jac, pts = ev.jacobians(grid)
+        w = np.einsum(
+            "a,b,c->abc", *(disc.tables[d].weights for d in range(3))
+        ).ravel() * np.linalg.det(jac)
+        ue = exact(pts)
+        ref = np.sqrt(np.sum(w * (u.ravel() - ue) ** 2) / np.sum(w * ue**2))
+        assert abs(rep.rel_l2_error - ref) <= 1e-9 * ref
+        assert json.loads(rep.to_json())["rel_l2_error"] == rep.rel_l2_error
+        # a different quantity from the relative L1 error kept as l2_error
+        assert abs(rep.rel_l2_error - rep.l2_error) > 0.01 * rep.l2_error
 
     def test_zero_reference_rejected(self):
         patch, _, disc = discretize(cube_cfg(1, 2))

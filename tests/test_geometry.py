@@ -150,7 +150,11 @@ class TestMetric:
         patch = make_geometry("ring")
         xi = np.array([0.21, 0.45, 0.83])
         m = patch.eval_metric(xi)
-        assert m.det == np.linalg.det(m.jacobian)
+        # the determinant is det3's cofactor expansion of the sample's own
+        # Jacobian, and agrees with LU to a few ulps
+        assert m.det == det3(m.jacobian[None])[0]
+        ref = np.linalg.det(m.jacobian)
+        assert abs(m.det - ref) <= 4 * np.finfo(float).eps * abs(ref)
 
     def test_ring_det_positive_sampled(self):
         patch = make_geometry("ring")
@@ -242,14 +246,44 @@ class TestLines:
         patch = make_geometry("closed_hemisphere")
         axes = [np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 5), [0.2, 0.7]]
         ev = GridEvaluator(patch, axes)
-        oracle = metric_oracle(ev, 0, 0)
         fixed = np.array([[0, 0, 1], [0, 2, 0], [0, 4, 1], [0, 4, 0]])
-        with pytest.raises(SingularMapError) as by_points:
-            oracle.fn(_line_index(ev.shape, 0, fixed))
-        with pytest.raises(SingularMapError) as by_lines:
-            oracle.lines(0, fixed)
-        assert "xi=(0.0, 1.0, 0.7)" in str(by_points.value)
-        assert str(by_lines.value) == str(by_points.value)
+        with pytest.raises(SingularMapError) as by_metric:
+            ev.metric(_line_index(ev.shape, 0, fixed))
+        # a diagonal and an off-diagonal entry raise the same error as the
+        # whole metric, at the same first singular point
+        for i, j in ((0, 0), (1, 2)):
+            oracle = metric_oracle(ev, i, j)
+            with pytest.raises(SingularMapError) as by_points:
+                oracle.fn(_line_index(ev.shape, 0, fixed))
+            with pytest.raises(SingularMapError) as by_lines:
+                oracle.lines(0, fixed)
+            assert "xi=(0.0, 1.0, 0.7)" in str(by_points.value)
+            assert str(by_lines.value) == str(by_points.value)
+            assert str(by_points.value) == str(by_metric.value)
+
+    @pytest.mark.parametrize("name", GEOMETRY_NAMES)
+    def test_metric_oracle_matches_metric(self, name):
+        from ttiga.assembly import metric_oracle
+
+        ev = GridEvaluator(make_geometry(name), _gauss_axes((5, 4, 3)))
+        shape = ev.shape
+        rng = np.random.default_rng(30)
+        idx = np.stack([rng.integers(0, n, 200) for n in shape], axis=1)
+        fixed = np.stack([rng.integers(0, n, 6) for n in shape], axis=1)
+        # relative to the whole metric, as the crosses measure each entry:
+        # entries that vanish analytically hold only round-off
+        for axis in range(3):
+            _, R = ev.metric(idx)
+            _, R_lines = ev.metric(_line_index(shape, axis, fixed))
+            scale, scale_lines = np.abs(R).max(), np.abs(R_lines).max()
+            for i in range(3):
+                for j in range(i, 3):
+                    oracle = metric_oracle(ev, i, j)
+                    got = oracle.fn(idx)
+                    assert np.abs(got - R[:, i, j]).max() <= 1e-13 * scale
+                    got = oracle.lines(axis, fixed).ravel()
+                    err = np.abs(got - R_lines[:, i, j]).max()
+                    assert err <= 1e-13 * scale_lines
 
 
 def test_json_round_trip():

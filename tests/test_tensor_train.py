@@ -273,6 +273,107 @@ class TestCross:
         assert res.converged
 
 
+def _separable_sum(n_terms):
+    """Sum of n_terms separable products on a 3D grid: TT ranks n_terms."""
+    def f(idx):
+        i, j, k = idx[:, 0] + 1.0, idx[:, 1] + 1.0, idx[:, 2] + 1.0
+        out = np.sin(0.3 * i) * np.cos(0.2 * j) / (k + 1.0)
+        if n_terms > 1:
+            out = out + np.exp(-0.1 * i) * j * np.cos(0.4 * k)
+        return out
+
+    return f
+
+
+class TestHalfSweeps:
+    sizes = (9, 7, 6)
+
+    def test_rank_one_stops_after_first_forward_half(self):
+        n1, n2, n3 = self.sizes
+        res = tt_cross(
+            CrossOracle(_separable_sum(1), self.sizes), 1e-10,
+            holdout_size=100, rng=np.random.default_rng(0),
+        )
+        # holdout, then one fiber per mode at rank 1; no backward half
+        assert res.n_evals == 100 + n1 + n2 + n3
+        assert (res.sweeps, res.ranks) == (1, (1, 1, 1, 1))
+        assert res.holdout_error <= 1e-10
+
+    def test_rank_two_stops_after_second_forward_half(self):
+        n1, n2, n3 = self.sizes
+        res = tt_cross(
+            CrossOracle(_separable_sum(2), self.sizes), 1e-10,
+            holdout_size=100, rng=np.random.default_rng(0),
+        )
+        # sweep 1 at rank 1: forward n1 + n2 + n3, backward n2 + n1 (its
+        # first fiber matrix is the forward half's last); sweep 2's forward
+        # half at column sets of size 2: n1*2 + 2*n2*2 + 2*n3
+        sweep1 = (n1 + n2 + n3) + (n2 + n1)
+        sweep2 = 2 * n1 + 4 * n2 + 2 * n3
+        assert res.n_evals == 100 + sweep1 + sweep2
+        assert (res.sweeps, res.ranks) == (2, (1, 2, 2, 1))
+        assert res.holdout_error <= 1e-10
+
+    def test_backward_half_reuses_last_fiber_matrix(self):
+        calls = []
+        f = _separable_sum(2)
+
+        def lines(k, fixed):
+            calls.append((k, fixed.copy()))
+            idx = np.repeat(fixed, self.sizes[k], axis=0)
+            idx[:, k] = np.tile(np.arange(self.sizes[k]), fixed.shape[0])
+            return f(idx).reshape(fixed.shape[0], self.sizes[k])
+
+        tt_cross(
+            CrossOracle(f, self.sizes, lines), 1e-10,
+            holdout_size=100, rng=np.random.default_rng(0),
+        )
+        # forward mode 0, 1, last mode 2; backward mode 1, 0 (mode 2 reused);
+        # forward mode 0, 1, 2
+        assert [k for k, _ in calls] == [0, 1, 2, 1, 0, 0, 1, 2]
+        for (k, a), (m, b) in zip(calls, calls[1:]):
+            assert k != m or not np.array_equal(a, b)
+
+    def test_half_sweep_log_records(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="ttiga.tensor_train.cross"):
+            res = tt_cross(
+                CrossOracle(_separable_sum(2), self.sizes), 1e-10,
+                holdout_size=100, rng=np.random.default_rng(0),
+            )
+        lines = [r.getMessage() for r in caplog.records]
+        assert [line.split(":")[0] for line in lines] == [
+            "cross sweep 1 fwd", "cross sweep 1 bwd", "cross sweep 2 fwd",
+        ]
+        assert "ranks=(1, 2, 2, 1)" in lines[-1]
+        assert f"evals={res.n_evals} " in lines[-1]
+        assert "holdout=" in lines[-1]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"holdout_size": 0},
+            {"holdout_size": -3},
+            {"eps": float("nan")},
+            {"eps": float("inf")},
+            {"scale": float("nan")},
+            {"scale": float("inf")},
+        ],
+        ids=["holdout0", "holdout-3", "eps_nan", "eps_inf", "scale_nan", "scale_inf"],
+    )
+    def test_bad_arguments_rejected(self, kwargs):
+        args = {"eps": 1e-10, "rng": np.random.default_rng(0)}
+        args.update(kwargs)
+        calls = []
+
+        def f(idx):
+            calls.append(len(idx))
+            return np.ones(len(idx))
+
+        with pytest.raises(ValueError):
+            tt_cross(CrossOracle(f, (20, 20, 20)), **args)
+        assert not calls
+
+
 def _fiber_oracle(sizes, seed):
     """A random TT's entries, pointwise and along whole fibers."""
     target = TtTensor.random(sizes, (2,) * (len(sizes) - 1), np.random.default_rng(seed))
