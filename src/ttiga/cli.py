@@ -1,6 +1,6 @@
 """Command-line front end: single solves, benchmark ladders, debug dumps.
 
-Exit codes: 0 success, 1 configuration or I/O error, 2 solver
+Exit codes: 0 success, 1 usage, configuration or I/O error, 2 solver
 non-convergence. All output files are written atomically (temp + rename).
 """
 
@@ -11,9 +11,7 @@ import concurrent.futures
 import csv
 import io
 import json
-import os
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,6 +37,7 @@ from .geometry import (
 )
 from .splines import Basis1D, KnotVector, SplineError, tabulate
 from .tensor_train import load_tt, tt_info
+from .tensor_train.io import _atomic_write
 
 CSV_COLUMNS = [
     "geometry",
@@ -171,17 +170,6 @@ def load_solve_file(path) -> tuple[list, Path, int]:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _atomic_write(path: Path, data: str | bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    mode = "wb" if isinstance(data, bytes) else "w"
-    with tempfile.NamedTemporaryFile(
-        mode, dir=path.parent, prefix=f".{path.name}.", delete=False
-    ) as fh:
-        fh.write(data)
-        tmp = fh.name
-    os.replace(tmp, path)
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -282,6 +270,10 @@ def _execute_runs(runs, out_dir: Path, jobs: int, field_samples: int):
 # subcommands
 
 def cmd_solve(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.field_samples < 0:
+        raise ConfigError(f"--field-samples must be at least 0, got {args.field_samples}")
     runs, out_dir, _ = load_solve_file(args.config)
     if args.out:
         out_dir = Path(args.out)
@@ -418,6 +410,8 @@ def cmd_dump(args) -> int:
     if args.what == "basis":
         if not args.knots:
             raise ConfigError("dump basis requires --knots")
+        if args.samples < 1:
+            raise ConfigError(f"--samples must be at least 1, got {args.samples}")
         knots = _floats("--knots", args.knots)
         weights = _floats("--weights", args.weights) if args.weights else None
         basis = Basis1D(KnotVector(knots, args.degree), weights)
@@ -565,8 +559,17 @@ def cmd_check(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, like any other bad input; 2 is reserved
+    for solver non-convergence."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ttiga",
         description="Tensor-train isogeometric Poisson solver",
     )

@@ -48,6 +48,7 @@ from .tensor_train import (
     tt_info,
     tt_round,
 )
+from .tensor_train.io import _atomic_write
 
 __all__ = [
     "DriverError",
@@ -363,7 +364,7 @@ def cache_dir() -> Path | None:
 
 
 # bump when assembly changes what an entry holds, so stale entries miss
-CACHE_FORMAT = 4
+CACHE_FORMAT = 5
 
 
 def cache_key(cfg: SolveConfig, what: str) -> str:
@@ -404,14 +405,10 @@ def _cached(cfg: SolveConfig, what: str, assemble):
         except (ValueError, OSError):
             pass  # unreadable entries count as misses
     obj, info = assemble()
-    d.mkdir(parents=True, exist_ok=True)
     save_tt(path, obj)
     doc = dict(info)
     doc["tt"] = tt_info(obj)
-    tmp = d / f".{key}.json.{os.getpid()}.tmp"  # one per concurrent writer
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=2, default=str)
-    os.replace(tmp, manifest)
+    _atomic_write(manifest, json.dumps(doc, indent=2, default=str))
     return obj, info
 
 

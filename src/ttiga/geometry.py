@@ -274,8 +274,8 @@ def _line_index(shape, axis: int, fixed) -> np.ndarray:
 _SQ2INV = 1.0 / np.sqrt(2.0)
 
 
-def _linear_basis() -> Basis1D:
-    return Basis1D(KnotVector(np.array([0.0, 0.0, 1.0, 1.0]), 1))
+def _linear_knots() -> KnotVector:
+    return KnotVector(np.array([0.0, 0.0, 1.0, 1.0]), 1)
 
 
 def _full_circle_net():
@@ -327,41 +327,35 @@ def _hyperbola_net(r_end: float, r_waist: float, z0: float, z1: float):
     return kv, ctrl, np.array([1.0, r_end / r_waist, 1.0])
 
 
-def _flip_axis(ctrl: np.ndarray, w: np.ndarray, bases, axis: int):
-    """Reverse one parametric direction (mirrors the knot vector)."""
-    ctrl = np.flip(ctrl, axis=axis)
-    w = np.flip(w, axis=axis)
-    kv = bases[axis].knot_vector
-    mirrored = KnotVector((kv.start + kv.end) - kv.knots[::-1], kv.degree)
-    bases = list(bases)
-    bases[axis] = Basis1D(mirrored, None)
-    return ctrl, w, tuple(bases)
-
-
-def _finalize(bases, ctrl, w, metadata) -> GeometryPatch:
-    """Fix orientation so det(J) > 0, then verify on an interior sample."""
-    patch = GeometryPatch(tuple(bases), ctrl, w, metadata)
-    probe = np.array([0.37, 0.51, 0.43])
-    if patch.eval_metric(probe).det < 0:
-        ctrl, w, bases = _flip_axis(ctrl, w, bases, 2)
-        patch = GeometryPatch(tuple(bases), ctrl, w, metadata)
-    for xi in ([0.11, 0.62, 0.29], [0.83, 0.24, 0.77], [0.5, 0.5, 0.5]):
+def _finalize(kvs, ctrl, w, metadata) -> GeometryPatch:
+    """Build the patch and verify det(J) > 0 on interior probes."""
+    patch = GeometryPatch(tuple(Basis1D(kv, None) for kv in kvs), ctrl, w, metadata)
+    probes = ([0.37, 0.51, 0.43], [0.11, 0.62, 0.29], [0.83, 0.24, 0.77], [0.5] * 3)
+    for xi in probes:
         if patch.eval_metric(np.asarray(xi)).det <= 0:
             raise GeometryError("orientation check failed: det(J) <= 0")
     return patch
 
 
-def _product_patch(kvs, builder, metadata) -> GeometryPatch:
-    """Assemble a patch from three knot vectors and a pointwise control builder."""
-    bases = tuple(Basis1D(kv, None) for kv in kvs)
-    n = tuple(kv.n_basis for kv in kvs)
-    ctrl = np.empty(n + (3,))
-    w = np.empty(n)
-    for i in range(n[0]):
-        for j in range(n[1]):
-            for k in range(n[2]):
-                ctrl[i, j, k], w[i, j, k] = builder(i, j, k)
-    return _finalize(bases, ctrl, w, metadata)
+def _revolve(sweep, section, metadata) -> GeometryPatch:
+    """Sweep a rational planar section about the z axis (Piegl & Tiller,
+    *The NURBS Book*, 2nd ed., section 8.5).
+
+    ``sweep`` is ``(kv_i, xy, w_i)``: the knots, the (n_i, 2) control points
+    (X_i, Y_i) and the weights of the sweep curve in the xy plane.
+    ``section`` is ``(kv_j, kv_k, rho, z, w_jk)``: the two knot vectors and
+    arrays broadcastable to (n_j, n_k) of the section's distance from the
+    axis, height and weight. The net is P_ijk = (X_i rho_jk, Y_i rho_jk,
+    z_jk) with weights w_i w_jk.
+    """
+    kv_i, xy, w_i = sweep
+    kv_j, kv_k, rho, z, w_jk = section
+    n_i, plane = kv_i.n_basis, (kv_j.n_basis, kv_k.n_basis)
+    rho, z, w_jk = (np.broadcast_to(a, plane) for a in (rho, z, w_jk))
+    X, Y = xy[:, 0, None, None], xy[:, 1, None, None]
+    ctrl = np.stack([X * rho, Y * rho, np.broadcast_to(z, (n_i,) + plane)], axis=-1)
+    w = w_i[:, None, None] * w_jk
+    return _finalize((kv_i, kv_j, kv_k), ctrl, w, metadata)
 
 
 def _require(cond: bool, msg: str):
@@ -414,7 +408,7 @@ def _take(params: dict, defaults: dict) -> dict:
 
 def _make_unit_cube(params):
     p = _take(params, {})
-    lin = _linear_basis()
+    lin = _linear_knots()
     corners = np.array([0.0, 1.0])
     ctrl = np.stack(
         np.meshgrid(corners, corners, corners, indexing="ij"), axis=-1
@@ -433,65 +427,54 @@ def _make_lshape(params):
     p = _take(params, {"zmax": 1.0})
     _require(p["zmax"] > 0, "zmax must be positive")
     # Bent bar: xi1 runs along the L, xi2 from the inner to the outer
-    # boundary, xi3 in z. The reentrant corner square is split along its
+    # boundary, xi3 down from z = zmax to 0 (which makes the map
+    # right-handed). The reentrant corner square is split along its
     # diagonal by the C0 line at xi1 = 0.5, so det(J) stays bounded away
     # from zero everywhere.
     kv1 = KnotVector(np.array([0, 0, 0.5, 1, 1], dtype=float), 1)
     inner = np.array([[0, 1], [0, 0], [1, 0]], dtype=float)
     outer = np.array([[-1, 1], [-1, -1], [1, -1]], dtype=float)
-    zs = np.array([0.0, p["zmax"]])
     ctrl = np.empty((3, 2, 2, 3))
-    for i in range(3):
-        for j, row in enumerate((inner, outer)):
-            for k in range(2):
-                ctrl[i, j, k] = (row[i, 0], row[i, 1], zs[k])
-    w = np.ones((3, 2, 2))
-    lin = _linear_basis()
+    ctrl[..., :2] = np.stack([inner, outer], axis=1)[:, :, None, :]
+    ctrl[..., 2] = [p["zmax"], 0.0]
     meta = {
         "name": "lshape",
         "params": p,
         "directions": ("path", "across", "height"),
         "default_dirichlet": [[0, 0], [0, 1], [1, 0], [1, 1]],
     }
-    return _finalize((Basis1D(kv1, None), lin, lin), ctrl, w, meta)
+    lin = _linear_knots()
+    return _finalize((kv1, lin, lin), ctrl, np.ones((3, 2, 2)), meta)
 
 
 def _make_ring(params):
     p = _take(params, {"r_in": 0.5, "r_out": 1.0, "h": 1.0})
     _require(0 < p["r_in"] < p["r_out"], "need 0 < r_in < r_out")
     _require(p["h"] > 0, "height must be positive")
-    kv_c, c_ctrl, c_w = _full_circle_net()
-    lin = _linear_basis().knot_vector
+    lin = _linear_knots()
+    # xi3 runs down from z = h to 0, which makes the map right-handed
     radii = np.array([p["r_in"], p["r_out"]])
-    zs = np.array([0.0, p["h"]])
-
-    def build(i, j, k):
-        x, y = c_ctrl[i] * radii[j]
-        return (x, y, zs[k]), c_w[i]
-
+    section = (lin, lin, radii[:, None], [p["h"], 0.0], 1.0)
     meta = {
         "name": "ring",
         "params": p,
         "directions": ("angular", "radial", "height"),
         "default_dirichlet": [[1, 0], [1, 1]],
     }
-    return _product_patch(
-        [kv_c, lin, lin], build, meta
-    )
+    return _revolve(_full_circle_net(), section, meta)
+
+
+def _hemisphere_shell(p, top: float, meta) -> GeometryPatch:
+    """Spherical shell r_in..r_out from the equator to latitude ``top``."""
+    kv_a, a_ctrl, a_w = _arc_net(0.0, top)
+    rho, z = a_ctrl.T[:, :, None] * np.array([p["r_in"], p["r_out"]])
+    section = (kv_a, _linear_knots(), rho, z, a_w[:, None])
+    return _revolve(_full_circle_net(), section, meta)
 
 
 def _make_closed_hemisphere(params):
     p = _take(params, {"r_in": 0.5, "r_out": 1.0})
     _require(0 < p["r_in"] < p["r_out"], "need 0 < r_in < r_out")
-    kv_c, c_ctrl, c_w = _full_circle_net()
-    kv_a, a_ctrl, a_w = _arc_net(0.0, 0.5 * np.pi)  # equator to pole
-    lin = _linear_basis().knot_vector
-    radii = np.array([p["r_in"], p["r_out"]])
-
-    def build(i, j, k):
-        rho, z = a_ctrl[j] * radii[k]
-        return (c_ctrl[i, 0] * rho, c_ctrl[i, 1] * rho, z), c_w[i] * a_w[j]
-
     meta = {
         "name": "closed_hemisphere",
         "params": p,
@@ -499,34 +482,20 @@ def _make_closed_hemisphere(params):
         "default_dirichlet": [[2, 0], [2, 1]],
         "degenerate_faces": [[1, 1]],  # pole: longitude circle collapses
     }
-    return _product_patch(
-        [kv_c, kv_a, lin], build, meta
-    )
+    return _hemisphere_shell(p, 0.5 * np.pi, meta)  # equator to pole
 
 
 def _make_opened_hemisphere(params):
     p = _take(params, {"r_in": 0.5, "r_out": 1.0, "hole_deg": 18.0})
     _require(0 < p["r_in"] < p["r_out"], "need 0 < r_in < r_out")
     _require(0 < p["hole_deg"] < 90, "hole angle must be in (0, 90) degrees")
-    kv_c, c_ctrl, c_w = _full_circle_net()
-    top = 0.5 * np.pi - np.deg2rad(p["hole_deg"])
-    kv_a, a_ctrl, a_w = _arc_net(0.0, top)
-    lin = _linear_basis().knot_vector
-    radii = np.array([p["r_in"], p["r_out"]])
-
-    def build(i, j, k):
-        rho, z = a_ctrl[j] * radii[k]
-        return (c_ctrl[i, 0] * rho, c_ctrl[i, 1] * rho, z), c_w[i] * a_w[j]
-
     meta = {
         "name": "opened_hemisphere",
         "params": p,
         "directions": ("longitude", "latitude", "radial"),
         "default_dirichlet": [[1, 0], [1, 1]],
     }
-    return _product_patch(
-        [kv_c, kv_a, lin], build, meta
-    )
+    return _hemisphere_shell(p, 0.5 * np.pi - np.deg2rad(p["hole_deg"]), meta)
 
 
 def _make_hyperboloid(params):
@@ -537,50 +506,34 @@ def _make_hyperboloid(params):
     _require(0 < p["r_middle"] < p["r_top"], "need 0 < r_middle < r_top")
     _require(0 < p["thickness"] < 2 * p["r_middle"], "invalid shell thickness")
     _require(p["zmin"] < p["zmax"], "need zmin < zmax")
-    kv_c, c_ctrl, c_w = _full_circle_net()
     kv_h, h_ctrl, h_w = _hyperbola_net(p["r_top"], p["r_middle"], p["zmin"], p["zmax"])
-    lin = _linear_basis().knot_vector
     offs = np.array([-0.5, 0.5]) * p["thickness"]
-
-    def build(i, j, k):
-        rho = h_ctrl[j, 0] + offs[k]
-        z = h_ctrl[j, 1]
-        return (c_ctrl[i, 0] * rho, c_ctrl[i, 1] * rho, z), c_w[i] * h_w[j]
-
+    rho = h_ctrl[:, 0, None] + offs
+    section = (kv_h, _linear_knots(), rho, h_ctrl[:, 1, None], h_w[:, None])
     meta = {
         "name": "hyperboloid",
         "params": p,
         "directions": ("angular", "height", "thickness"),
         "default_dirichlet": [[1, 0], [1, 1]],
     }
-    return _product_patch(
-        [kv_c, kv_h, lin], build, meta
-    )
+    return _revolve(_full_circle_net(), section, meta)
 
 
 def _make_quarter_torus(params):
     p = _take(params, {"r_in": 0.5, "r_out": 1.0, "R": 3.0})
     _require(0 < p["r_in"] < p["r_out"], "need 0 < r_in < r_out")
     _require(p["R"] > p["r_out"], "toroidal radius must exceed r_out")
-    kv_t, t_ctrl, t_w = _arc_net(0.0, 0.5 * np.pi)  # toroidal quarter sweep
     kv_p, p_ctrl, p_w = _full_circle_net()  # poloidal section
-    lin = _linear_basis().knot_vector
-    radii = np.array([p["r_in"], p["r_out"]])
-
-    def build(i, j, k):
-        rho = p["R"] + p_ctrl[j, 0] * radii[k]
-        z = p_ctrl[j, 1] * radii[k]
-        return (t_ctrl[i, 0] * rho, t_ctrl[i, 1] * rho, z), t_w[i] * p_w[j]
-
+    rho, z = p_ctrl.T[:, :, None] * np.array([p["r_in"], p["r_out"]])
+    section = (kv_p, _linear_knots(), p["R"] + rho, z, p_w[:, None])
     meta = {
         "name": "quarter_torus",
         "params": p,
         "directions": ("toroidal", "poloidal", "radial"),
         "default_dirichlet": [[2, 0], [2, 1]],
     }
-    return _product_patch(
-        [kv_t, kv_p, lin], build, meta
-    )
+    # toroidal quarter sweep
+    return _revolve(_arc_net(0.0, 0.5 * np.pi), section, meta)
 
 
 _FACTORIES = {

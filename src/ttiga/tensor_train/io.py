@@ -5,21 +5,24 @@ Layout (little-endian throughout):
 ========  =======================================================
 bytes     content
 ========  =======================================================
-0:4       magic ``b"TTC1"``
+0:4       magic ``b"TTC2"``
 4         kind: ``0`` tensor, ``1`` operator (uint8)
 5         order d (uint8)
 6:...     d row mode sizes (uint32); operators add d col sizes
 ...       d+1 bond ranks (uint32)
 ...       core payloads, ascending core order, float64 C-order
+-4:       CRC-32 (``zlib.crc32``, uint32) of every byte before it
 ========  =======================================================
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +31,30 @@ from .core import TtMatrix, TtTensor
 
 __all__ = ["save_tt", "load_tt", "tt_info"]
 
-_MAGIC = b"TTC1"
+_MAGIC = b"TTC2"
+
+
+def _atomic_write(path, data) -> None:
+    """Write ``data`` (str, or an iterable of bytes chunks) to ``path``,
+    creating its directory.
+
+    The data go to a temp file next to the target, which is then renamed
+    into place, so readers see either the old file or the complete new one.
+    On any failure the temp file is removed and the old file is left as it
+    was.
+    """
+    path = Path(path)
+    chunks = [data.encode()] if isinstance(data, str) else data
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def save_tt(path, t) -> None:
@@ -42,20 +68,16 @@ def save_tt(path, t) -> None:
     else:
         header.append(struct.pack(f"<{d}I", *t.mode_sizes))
     header.append(struct.pack(f"<{d + 1}I", *t.ranks))
-    # write a temp file next to the target, then rename it into place, so
-    # readers see either the old file or the complete new one
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            for chunk in header:
-                fh.write(chunk)
-            for G in t.cores:
-                fh.write(np.ascontiguousarray(G, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+
+    def chunks():
+        crc = 0
+        cores = (np.ascontiguousarray(G, dtype="<f8").tobytes() for G in t.cores)
+        for chunk in itertools.chain(header, cores):
+            crc = zlib.crc32(chunk, crc)
+            yield chunk
+        yield struct.pack("<I", crc)
+
+    _atomic_write(path, chunks())
 
 
 def load_tt(path):
@@ -85,8 +107,11 @@ def load_tt(path):
     ]
     counts = [math.prod(shape) for shape in shapes]
     # checked before any read, so a corrupt header never sizes a buffer
-    if off + 8 * sum(counts) != len(raw):
+    if off + 8 * sum(counts) + 4 != len(raw):
         raise ValueError("TT container payload size does not match its header")
+    (crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
+    if zlib.crc32(memoryview(raw)[:-4]) != crc:
+        raise ValueError("TT container checksum does not match its contents")
     cores = []
     for shape, count in zip(shapes, counts):
         G = np.frombuffer(raw, dtype="<f8", count=count, offset=off)

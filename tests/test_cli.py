@@ -207,6 +207,19 @@ class TestSolveCommand:
         assert err.startswith("error:") and flag[2:].replace("-", "_") in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "flag,value,low", [("--jobs", "0", 1), ("--field-samples", "-2", 0)]
+    )
+    def test_bad_count_rejected(self, tmp_path, capsys, flag, value, low):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"output_dir": str(tmp_path / "out"), "runs": [CUBE_RUN]},
+        )
+        assert main(["solve", "--config", str(cfg), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be at least {low}, got {value}")
+        assert not (tmp_path / "out").exists()
+
 
     @pytest.mark.parametrize(
         "field,value",
@@ -251,6 +264,7 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
 
     @pytest.mark.parametrize(
         "field,value",
@@ -349,6 +363,56 @@ class TestDumpCommand:
         with pytest.raises(SystemExit):
             main(["dump", "nonsense"])
 
+    def test_failed_write_keeps_old_output(self, tmp_path, monkeypatch):
+        """A write that fails at the rename leaves the old file as it was
+        and no temp file beside it."""
+        out = tmp_path / "ring.json"
+        out.write_text("old")
+
+        def replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert main(["dump", "geometry", "--name", "ring", "--out", str(out)]) == 1
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_text() == "old"
+
+    def test_failed_manifest_write_leaves_no_temp(self, tmp_path, monkeypatch):
+        """A cache manifest that fails to land leaves no temp file, and the
+        entry without its manifest is a miss that the next solve rewrites."""
+        from ttiga.cli import parse_run
+
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("TTIGA_CACHE_DIR", str(cache))
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if str(dst).endswith(".json"):
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        cfg, _ = parse_run(CUBE_RUN)
+        with pytest.raises(OSError, match="disk full"):
+            driver.solve_poisson(cfg)
+        assert [p.suffix for p in cache.iterdir()] == [".tt"]
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert driver.solve_poisson(cfg).solver_converged
+        assert sorted(p.suffix for p in cache.iterdir()) == [".json"] * 2 + [".tt"] * 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["dump", "nonsense"], ["solve"],
+         ["solve", "--config", "c.json", "--jobs", "x"]],
+        ids=["bad-choice", "missing-config", "bad-int"],
+    )
+    def test_usage_error_exits_1(self, argv, capsys):
+        """Exit code 2 is kept for solver non-convergence."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -356,8 +420,11 @@ class TestDumpCommand:
             ["geometry", "--name", "ring", "--params", "abc"],
             ["basis", "--knots", "0,0,a,1", "--degree", "1"],
             ["basis", "--knots", "0,0,1,1", "--degree", "1", "--weights", "1,x"],
+            ["basis", "--knots", "0,0,1,1", "--degree", "1", "--samples", "-5"],
+            ["basis", "--knots", "0,0,1,1", "--degree", "1", "--samples", "0"],
         ],
-        ids=["params-not-object", "params-not-json", "bad-knot", "bad-weight"],
+        ids=["params-not-object", "params-not-json", "bad-knot", "bad-weight",
+             "samples-negative", "samples-zero"],
     )
     def test_malformed_input_rejected(self, argv, capsys):
         assert main(["dump", *argv]) == 1
@@ -466,7 +533,7 @@ class TestCheckCommand:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["tensor", "operator"]), st.data())
     def test_damaged_container_rejected(self, kind, data):
-        """A header byte changed, or the file cut short, makes load_tt raise
+        """Any byte changed, or the file cut short, makes load_tt raise
         ValueError (never struct.error, IndexError or OverflowError) and
         ``ttiga check`` exit 1."""
         from ttiga.tensor_train import TtMatrix, TtTensor, load_tt, save_tt
@@ -474,17 +541,15 @@ class TestCheckCommand:
         rng = np.random.default_rng(44)
         if kind == "tensor":
             t = TtTensor.random((5, 6, 7), (3, 4), rng)
-            header = 6 + 4 * 3 + 4 * 4
         else:
             t = TtMatrix([rng.standard_normal(s) for s in
                           ((1, 3, 4, 2), (2, 5, 5, 3), (3, 4, 3, 1))])
-            header = 6 + 2 * 4 * 3 + 4 * 4
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "damaged.tt"
             save_tt(path, t)
             raw = bytearray(path.read_bytes())
             if data.draw(st.booleans(), label="flip"):
-                pos = data.draw(st.integers(0, header - 1), label="pos")
+                pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
                 raw[pos] ^= data.draw(st.integers(1, 255), label="xor")
             else:
                 del raw[data.draw(st.integers(0, len(raw) - 1), label="cut"):]

@@ -95,6 +95,18 @@ class TestFactories:
             assert inside_outer and not in_cutout
             assert -1e-12 <= z <= 1 + 1e-12
 
+    @pytest.mark.parametrize(
+        "name,params", [("ring", {"h": 2.0}), ("lshape", {"zmax": 2.0})]
+    )
+    def test_height_runs_down(self, name, params):
+        """xi3 = 0 is the top face (z = h on the ring, z = zmax on the
+        L-shape) and xi3 = 1 the bottom, which makes both maps right-handed."""
+        patch = make_geometry(name, params)
+        rng = np.random.default_rng(6)
+        for xi1, xi2 in rng.uniform(0, 1, (20, 2)):
+            assert abs(patch.eval_point([xi1, xi2, 0.0])[2] - 2.0) < 1e-14
+            assert abs(patch.eval_point([xi1, xi2, 1.0])[2]) < 1e-14
+
     def test_invalid_params(self):
         with pytest.raises(GeometryError):
             make_geometry("ring", {"r_in": 1.5, "r_out": 1.0})
@@ -145,6 +157,15 @@ class TestMetric:
             assert m.metric[0, 0] > 0
             assert np.linalg.det(m.metric[:2, :2]) > 0
             assert np.linalg.det(m.metric) > 0
+
+    @pytest.mark.parametrize("name", GEOMETRY_NAMES)
+    def test_det_positive_on_interior_grid(self, name):
+        """Every solid is built right-handed: det J > 0 throughout."""
+        ax = np.linspace(0.02, 0.98, 9)
+        ev = GridEvaluator(make_geometry(name), [ax, ax, ax])
+        idx = np.indices((9, 9, 9)).reshape(3, -1).T
+        jac, _ = ev.jacobians(idx)
+        assert np.all(det3(jac) > 0)
 
     def test_det_consistency(self):
         patch = make_geometry("ring")

@@ -815,6 +815,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match="kind"):
             load_tt(path)
 
+    def test_any_byte_flip_rejected(self, tmp_path):
+        """The CRC-32 trailer catches a changed byte anywhere, the core
+        payload included; header bytes may trip a header check first."""
+        t = TtTensor.random((5, 6, 4), (3, 2), np.random.default_rng(46))
+        path = tmp_path / "t.tt"
+        save_tt(path, t)
+        raw = path.read_bytes()
+        header = 6 + 4 * 3 + 4 * 4
+        assert len(raw) == header + 8 * t.n_params + 4
+        for pos in range(len(raw)):
+            bad = bytearray(raw)
+            bad[pos] ^= 0x5A
+            path.write_bytes(bytes(bad))
+            with pytest.raises(ValueError, match=None if pos < header else "checksum"):
+                load_tt(path)
+
     def test_failed_write_leaves_no_file(self, tmp_path):
         good = TtTensor.random((5, 6, 7), (3, 4), np.random.default_rng(42))
         bad = TtTensor.random((5, 6, 7), (3, 4), np.random.default_rng(43))
