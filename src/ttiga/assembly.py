@@ -166,7 +166,13 @@ def metric_oracle(ev: GridEvaluator, i: int, j: int) -> CrossOracle:
 
 
 def load_oracle(ev: GridEvaluator, source) -> CrossOracle:
-    """Source times Jacobian determinant on the quadrature grid."""
+    """Source times Jacobian determinant on the quadrature grid.
+
+    det J is :func:`det3` of J, not the homogeneous-sum form of
+    :attr:`~ttiga.geometry.MapEval.det`: the two differ in the last bit, and
+    AMEn, which solves only to ``eps_solve``, carries such a change in f to
+    ~1e-10 of the L-shape ladder's errors.
+    """
     return _grid_oracle(ev, lambda jac, pts, idx: source(pts) * det3(jac))
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "SingularMapError",
     "GeometryPatch",
     "MetricSample",
+    "MapEval",
     "GridEvaluator",
     "GEOMETRY_NAMES",
     "det3",
@@ -112,16 +114,52 @@ class GeometryPatch:
 _ORIGIN = np.zeros((1, 3), dtype=np.intp)  # the one point of a 1x1x1 grid
 
 
+class MapEval(NamedTuple):
+    """The map at N points, held in the homogeneous form it is computed in.
+
+    ``x`` (3, N) are the physical points, ``A`` (3, 3, N) the scaled
+    Jacobians w J (``A[i, d]`` = w dx_i/dxi_d) and ``w`` (N,) the NURBS
+    weight sums, one contiguous row per quantity. Each property forms only
+    what it returns: :attr:`det` needs no Jacobian.
+    """
+
+    x: np.ndarray
+    A: np.ndarray
+    w: np.ndarray
+
+    @property
+    def pts(self) -> np.ndarray:
+        """Physical points (N, 3), a view of the rows of ``x``."""
+        return self.x.T
+
+    @property
+    def jac(self) -> np.ndarray:
+        """Jacobians (N, 3, 3), a view of component rows of J = A / w."""
+        return (self.A / self.w).transpose(2, 0, 1)
+
+    @property
+    def det(self) -> np.ndarray:
+        """det J (N,) straight from the homogeneous sums: det(A) / w^3."""
+        det = _det_rows(self.A)
+        det /= self.w**3
+        return det
+
+
 class GridEvaluator:
     """Batched patch evaluation on a fixed tensor grid of parameters.
 
     Tabulates dense basis value and derivative rows per direction once, then
-    evaluates points, Jacobians, and metric factors either at arbitrary
-    batches of grid multi-indices or on whole grid lines (:meth:`lines`).
-    Both contract the homogeneous control net [w P, w] with the rows of two
+    evaluates the map at arbitrary batches of grid multi-indices
+    (:meth:`jacobians`, :meth:`points`) or on whole grid lines
+    (:meth:`along`, :meth:`lines`), all through one kernel. The kernel
+    contracts the homogeneous control net [w P, w] with the rows of two
     directions first; the net of an exact geometry is coarse, so this costs
-    a few hundred flops per point or line. This is the evaluation backend
-    for the cross-interpolation oracles and the error quadrature.
+    a few hundred flops per point or line. Its results are laid out by
+    component, one contiguous row per quantity, and carried as a
+    :class:`MapEval`, so each consumer forms only what it reads: the error
+    quadrature takes det J and the points without forming J. This is the
+    evaluation backend for the cross-interpolation oracles and the error
+    quadrature.
     """
 
     def __init__(self, patch: GeometryPatch, axes_points):
@@ -131,75 +169,89 @@ class GridEvaluator:
             tabulate(basis, pts) for basis, pts in zip(patch.bases, self.axes_points)
         ]
         w = patch.weights[..., None]
-        self._hom = np.concatenate([w * patch.control_points, w], axis=-1)
+        hom = np.concatenate([w * patch.control_points, w], axis=-1)
+        # per axis, the net as (n_b * n_c, n_axis * 4) over the two other
+        # directions b < c
+        self._nets = [
+            np.moveaxis(hom, axis, 2).reshape(-1, 4 * hom.shape[axis])
+            for axis in range(3)
+        ]
         self._sing_tol = 1e-12 * patch.scale**3
 
     @property
     def shape(self):
         return tuple(a.size for a in self.axes_points)
 
-    def _fixed_sums(self, axis, fixed):
-        """The net contracted over the two directions other than ``axis``.
+    def _sums(self, axis, fixed, pointwise):
+        """The homogeneous sums (4, 4, N) for the rows of ``fixed``.
 
-        Returns (3, M, n_axis, 4): at each row of ``fixed``, the sum with
-        both value rows, then with the derivative row of the first and of
-        the second other direction. One GEMM against the outer products of
-        the row pairs does all three.
+        Entry [k, 0] is the row h_k (the sum of basis products times w P_k,
+        or times w for k = 3) and [k, 1 + d] its derivative along direction
+        d. With ``pointwise`` each row of ``fixed`` is one grid point (N = M);
+        otherwise it anchors the grid line along ``axis`` through it, whose
+        ``axis`` column is ignored (N = M * nq, line by line). One GEMM
+        against the outer products of the two other directions' rows
+        contracts the net; then one GEMM per table runs along ``axis``, or
+        one product per point.
+
+        The line GEMMs run grid-index-major and are copied into rows. The
+        transposed products would write the rows directly, but OpenBLAS
+        rounds some of their entries differently, and the crossed operators
+        would then move in their last bits.
         """
         b, c = (d for d in range(3) if d != axis)
-        H = np.moveaxis(self._hom, axis, 2)  # (n_b, n_c, n_axis, 4)
         (Vb, Db), (Vc, Dc) = self._rows[b], self._rows[c]
         vb, db = Vb[fixed[:, b], :, None], Db[fixed[:, b], :, None]
         vc, dc = Vc[fixed[:, c], None, :], Dc[fixed[:, c], None, :]
         W = np.stack([vb * vc, db * vc, vb * dc])  # (3, M, n_b, n_c)
         M = fixed.shape[0]
-        G = W.reshape(3 * M, -1) @ H.reshape(-1, H.shape[2] * 4)
-        return G.reshape(3, M, H.shape[2], 4)
+        G = (W.reshape(3 * M, -1) @ self._nets[axis]).reshape(3, M, -1, 4)
+        V, D = self._rows[axis]
+        if pointwise:
+            V, D = V[fixed[:, axis]], D[fixed[:, axis]]
+            hv = np.einsum("na,knax->kxn", V, G)  # h, d_b h, d_c h
+            d = np.einsum("na,nax->xn", D, G[0])
+        else:
+            S = G.transpose(2, 0, 1, 3).reshape(G.shape[2], -1)
+            nq = V.shape[0]
+            hv = (V @ S).reshape(nq, 3, M, 4).transpose(1, 3, 2, 0)
+            d = (D @ S[:, : 4 * M]).reshape(nq, M, 4).transpose(2, 1, 0)
+        out = np.empty((4, 4) + d.shape[1:])
+        out[:, 0], out[:, 1 + b], out[:, 1 + c] = hv
+        out[:, 1 + axis] = d
+        return out.reshape(4, 4, -1)
 
-    @staticmethod
-    def _quotient(h, dh):
-        """Jacobians (N, 3, 3) and points (N, 3) from the homogeneous sums
-        h (N, 4) and their parametric derivatives dh (N, 4, 3)."""
-        w = h[:, 3:]
-        pts = h[:, :3] / w
-        jac = (dh[:, :3, :] - pts[:, :, None] * dh[:, 3:, :]) / w[:, :, None]
-        return jac, pts
+    def _evaluate(self, axis, fixed, pointwise) -> MapEval:
+        """The :class:`MapEval` of the sums of :meth:`_sums`, formed in place."""
+        S = self._sums(axis, np.asarray(fixed, dtype=np.intp), pointwise)
+        w, x, A = S[3, 0], S[:3, 0], S[:3, 1:]
+        x /= w
+        A -= x[:, None] * S[3, 1:]  # d(h_i / w) w = dh_i - x_i dw
+        return MapEval(x, A, w)
+
+    def along(self, axis: int, fixed) -> MapEval:
+        """The map on whole grid lines along ``axis``.
+
+        Row m of ``fixed`` (M, 3) anchors the line through the grid in the
+        two other directions; its ``axis`` column is ignored. The M * nq
+        points come line by line, where nq is the grid size along ``axis``.
+        """
+        return self._evaluate(axis, fixed, pointwise=False)
 
     def points(self, idx) -> np.ndarray:
         """Physical coordinates for grid multi-indices ``idx`` of shape (N, 3)."""
-        return self.jacobians(idx)[1]
+        return self._evaluate(0, idx, pointwise=True).pts
 
     def jacobians(self, idx):
         """Jacobians (N, 3, 3) and physical points (N, 3) for ``idx``."""
-        idx = np.asarray(idx, dtype=np.intp)
-        G = self._fixed_sums(0, idx)
-        V, D = (R[idx[:, 0]] for R in self._rows[0])
-        hv = np.einsum("na,knax->knx", V, G)  # h, d2 h, d3 h
-        d1 = np.einsum("na,nax->nx", D, G[0])
-        return self._quotient(hv[0], np.stack([d1, hv[1], hv[2]], axis=2))
+        m = self._evaluate(0, idx, pointwise=True)
+        return m.jac, m.pts
 
     def lines(self, axis: int, fixed):
-        """Jacobians and points on whole grid lines along ``axis``.
-
-        Row m of ``fixed`` (M, 3) anchors the line through the grid in the
-        two other directions; its ``axis`` column is ignored. Returns
-        Jacobians (M*nq, 3, 3) and points (M*nq, 3), line by line, where nq
-        is the grid size along ``axis``. After the per-line contraction of
-        the net, one GEMM per table runs along the free direction.
-        """
-        fixed = np.asarray(fixed, dtype=np.intp)
-        b, c = (d for d in range(3) if d != axis)
-        G = self._fixed_sums(axis, fixed)
-        _, M, na, _ = G.shape
-        S = G.transpose(2, 0, 1, 3).reshape(na, 3 * M * 4)
-        V, D = self._rows[axis]
-        nq = V.shape[0]
-        hv = (V @ S).reshape(nq, 3, M, 4).transpose(1, 2, 0, 3)
-        dh = np.empty((M, nq, 4, 3))
-        dh[..., axis] = (D @ S[:, : M * 4]).reshape(nq, M, 4).transpose(1, 0, 2)
-        dh[..., b] = hv[1]
-        dh[..., c] = hv[2]
-        return self._quotient(hv[0].reshape(M * nq, 4), dh.reshape(M * nq, 4, 3))
+        """Jacobians (M*nq, 3, 3) and points (M*nq, 3) on the grid lines of
+        :meth:`along`, line by line."""
+        m = self.along(axis, fixed)
+        return m.jac, m.pts
 
     def metric(self, idx):
         """Determinants (N,) and metric factors (N, 3, 3) for ``idx``."""
@@ -225,14 +277,17 @@ class GridEvaluator:
         at ``idx``, forming no other entry.
 
         R_ij = (c_i . c_j) / det J, where c_i = J[:, i+1] x J[:, i+2] (indices
-        mod 3) is column i of the cofactor matrix and det J = J[:, i] . c_i.
-        Raises like :meth:`metric`.
+        mod 3) is column i of the cofactor matrix and det J = J[:, i] . c_i,
+        all on the component rows of ``jac``. Raises like :meth:`metric`.
         """
-        ci = _cofactor_column(jac, i)
-        det = np.einsum("nk,nk->n", jac[:, :, i], ci)
+        J = np.moveaxis(jac, 0, -1)  # J[k, d] is one row (N,)
+        ci = _cofactor_column(J, i)
+        det = J[0, i] * ci[0] + J[1, i] * ci[1] + J[2, i] * ci[2]
         self._check_regular(det, idx)
-        cj = ci if j == i else _cofactor_column(jac, j)
-        return np.einsum("nk,nk->n", ci, cj) / det
+        cj = ci if j == i else _cofactor_column(J, j)
+        # summed (0 + 2) + 1, as numpy's einsum reduces a contiguous axis of
+        # 3, so the entries equal the einsum form of this product bit for bit
+        return (ci[0] * cj[0] + ci[2] * cj[2] + ci[1] * cj[1]) / det
 
     def _check_regular(self, det, idx):
         """Raise :class:`SingularMapError` at the first grid point of ``idx``
@@ -246,20 +301,30 @@ class GridEvaluator:
             raise SingularMapError(f"singular geometry map at xi={xi}")
 
 
-def _cofactor_column(jac, i: int) -> np.ndarray:
-    """Column i (N, 3) of the cofactor matrices of ``jac``: J[:, i+1] x J[:, i+2]."""
-    return np.cross(jac[:, :, (i + 1) % 3], jac[:, :, (i + 2) % 3])
+def _cofactor_column(J, i: int):
+    """Column i of the cofactor matrices of the component rows ``J``
+    (3, 3, N), as three rows: J[:, i+1] x J[:, i+2]."""
+    a, b = J[:, (i + 1) % 3], J[:, (i + 2) % 3]
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _det_rows(R) -> np.ndarray:
+    """Determinants (N,) of the matrices whose entries are the rows of ``R``
+    (3, 3, N), by cofactor expansion along the first row."""
+    (a, b, c), (d, e, f), (g, h, i) = R
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def det3(jac) -> np.ndarray:
     """Determinants (N,) of Jacobians (N, 3, 3) by cofactor expansion along
-    the first row, with no LU factorization per matrix."""
-    (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(jac, 0, -1)
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    the first row, with no LU factorization per matrix. On the views
+    :class:`GridEvaluator` returns it reads contiguous component rows."""
+    return _det_rows(np.moveaxis(jac, 0, -1))
 
 
 def _line_index(shape, axis: int, fixed) -> np.ndarray:
-    """Grid multi-indices (M*nq, 3) of the points :meth:`GridEvaluator.lines`
+    """Grid multi-indices (M*nq, 3) of the points :meth:`GridEvaluator.along`
     returns for ``fixed``, in the same order."""
     fixed = np.asarray(fixed, dtype=np.intp)
     nq = shape[axis]

@@ -253,6 +253,12 @@ class TestSolveCommand:
             {"geometry": "lshape", "degree": 1, "elements": 2,
              "geometry_params": {"zmax": zmax}}
             for zmax in ("a", float("inf"), True)
+        ] + [
+            # an analytic solution of another problem
+            dict(CUBE_RUN, geometry="ring"),
+            {"geometry": "ring", "degree": 2, "elements": 2, "source": "zero",
+             "analytic": "ring_radial",
+             "bc": {"faces": {"1:0": {"type": "dirichlet", "value": 1.0}}}},
         ],
     )
     def test_malformed_run_exits_with_message(self, tmp_path, capsys, run):

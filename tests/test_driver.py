@@ -46,6 +46,10 @@ def ring_cfg(elements, degree=2, analytic="ring_radial"):
     )
 
 
+LSHAPE_4 = SolveConfig(geometry="lshape", degree=1, elements=4, source="sin_pi_xy",
+                       analytic="lshape_exact")
+
+
 def cube_cfg(degree, elements):
     return SolveConfig(geometry="unit_cube", degree=degree, elements=elements)
 
@@ -323,6 +327,35 @@ class TestSolvePoisson:
         with pytest.raises(DriverError):
             SolveConfig(geometry="ring", source="nope")
 
+    @pytest.mark.parametrize(
+        "geometry,source,analytic",
+        [("lshape", "zero", "ring_radial"), ("ring", "zero", "lshape_exact"),
+         ("lshape", "zero", "lshape_exact"), ("quarter_torus", "sin_pi_xyz", "cube_sines")],
+    )
+    def test_analytic_of_another_problem_rejected(self, geometry, source, analytic):
+        """Each of these solved and reported a meaningless error."""
+        bc = RING_BC if analytic == "ring_radial" else None
+        with pytest.raises(DriverError, match=f"analytic solution '{analytic}' solves"):
+            SolveConfig(geometry=geometry, degree=1, elements=2, source=source,
+                        analytic=analytic, bc=bc)
+
+    @pytest.mark.parametrize(
+        "bc",
+        [BoundarySpec({(1, 0): FaceCondition("dirichlet", 1.0)}),
+         BoundarySpec.all_dirichlet(0.0), None],
+        ids=["one-face", "zero-data", "default"],
+    )
+    def test_ring_radial_without_its_dirichlet_data_rejected(self, monkeypatch, bc):
+        """The radial harmonic reads both radial faces' values: a config
+        without one, or with zero data (the default), fails before any
+        assembly."""
+        def assemble(*args, **kwargs):
+            raise AssertionError("assembled")
+
+        monkeypatch.setattr(driver, "assemble_stiffness", assemble)
+        with pytest.raises(DriverError, match=r"Dirichlet data of faces \[\(1, 0\), \(1, 1\)\]"):
+            solve_poisson(replace(ring_cfg(4), bc=bc))
+
 
 class TestL2Error:
     def test_self_error_is_zero(self):
@@ -354,8 +387,7 @@ class TestL2Error:
 
     @pytest.mark.parametrize(
         "cfg",
-        [ring_cfg(4), SolveConfig(geometry="lshape", degree=1, elements=4,
-                                  source="sin_pi_xy", analytic="lshape_exact")],
+        [ring_cfg(4), LSHAPE_4],
         ids=["ring", "lshape"],
     )
     def test_matches_point_path_slabs(self, cfg):
@@ -417,6 +449,43 @@ class TestL2Error:
         u = TtTensor.ones(disc.mode_sizes)
         with pytest.raises(DriverError):
             l2_error(u, lambda pts: np.zeros(pts.shape[0]), patch, disc)
+
+    @pytest.mark.parametrize("cfg", [ring_cfg(4), LSHAPE_4], ids=["ring", "lshape"])
+    def test_each_point_evaluated_once_in_blocks(self, monkeypatch, cfg):
+        """One kernel call per block of whole i3 slabs, on grid lines only,
+        and every quadrature point exactly once."""
+        from ttiga.geometry import GridEvaluator
+
+        patch, cfg, disc = discretize(cfg)
+        calls = []
+        sums = GridEvaluator._sums
+
+        def count(self, axis, fixed, pointwise):
+            calls.append((axis, pointwise, np.array(fixed)))
+            return sums(self, axis, fixed, pointwise)
+
+        monkeypatch.setattr(GridEvaluator, "_sums", count)
+        u = TtTensor.random(disc.mode_sizes, (2, 2), np.random.default_rng(7))
+        error_norms(u, driver.ANALYTIC[cfg.analytic](cfg, patch), patch, disc)
+        n1, n2, n3 = disc.quad_shape
+        per_block = max(1, driver._BLOCK // (n1 * n2))
+        assert len(calls) == -(-n3 // per_block)
+        assert all(axis == 0 and not pointwise for axis, pointwise, _ in calls)
+        lines = np.concatenate([fixed[:, 1:] for *_, fixed in calls])
+        assert len(lines) == len({tuple(row) for row in lines}) == n2 * n3
+
+    @pytest.mark.parametrize("slabs", [1, 5, "all"])
+    @pytest.mark.parametrize("cfg", [ring_cfg(4), LSHAPE_4], ids=["ring", "lshape"])
+    def test_block_size_does_not_change_errors(self, monkeypatch, cfg, slabs):
+        rep = solve_poisson(cfg)
+        patch, cfg, disc = discretize(cfg)
+        exact = driver.ANALYTIC[cfg.analytic](cfg, patch)
+        ref = np.array(error_norms(rep.u, exact, patch, disc))
+        n1, n2, n3 = disc.quad_shape
+        assert n3 % 5 != 0  # 5 slabs leave a short last block
+        monkeypatch.setattr(driver, "_BLOCK", n1 * n2 * (n3 if slabs == "all" else slabs))
+        got = np.array(error_norms(rep.u, exact, patch, disc))
+        assert np.all(np.abs(got - ref) <= 1e-14 * ref)
 
 
 class TestFullGridReference:

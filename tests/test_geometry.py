@@ -249,7 +249,8 @@ class TestLines:
 
     @pytest.mark.parametrize("name", GEOMETRY_NAMES)
     def test_det3_matches_lu_det(self, name):
-        # the i3 slabs l2_error evaluates: lines along axis 0 through each i2
+        # whole i3 slabs, which error_norms evaluates in blocks: lines along
+        # axis 0 through each i2
         ev = GridEvaluator(make_geometry(name), _gauss_axes((6, 5, 4)))
         shape = ev.shape
         fixed = np.zeros((shape[1], 3), dtype=np.intp)
@@ -259,6 +260,38 @@ class TestLines:
             jac, _ = ev.lines(0, fixed)
             ref = np.linalg.det(jac)
             assert np.all(np.abs(det3(jac) - ref) <= 1e-13 * np.abs(ref))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "name,params",
+        [(name, {}) for name in GEOMETRY_NAMES] + [("quarter_torus", {"R": 4.0})],
+        ids=[*GEOMETRY_NAMES, "quarter_torus-R4"],
+    )
+    def test_det_from_homogeneous_sums(self, name, params, axis):
+        """det J = det(w J) / w^3 from the homogeneous sums, with no Jacobian
+        formed, against det3 of the pointwise Jacobians; R = 4 puts the
+        torus's points far from the origin."""
+        ev = GridEvaluator(make_geometry(name, params), _gauss_axes((5, 4, 3)))
+        rng = np.random.default_rng(40 + axis)
+        fixed = np.stack([rng.integers(0, n, 9) for n in ev.shape], axis=1)
+        m = ev.along(axis, fixed)
+        jac, pts = ev.jacobians(_line_index(ev.shape, axis, fixed))
+        ref = det3(jac)
+        assert np.all(np.abs(m.det - ref) <= 1e-14 * np.abs(ref))
+        assert np.abs(m.pts - pts).max() <= 1e-15 * np.abs(pts).max()
+
+    @pytest.mark.parametrize("name", GEOMETRY_NAMES)
+    def test_load_oracle_points_match_lines(self, name):
+        from ttiga.assembly import load_oracle
+
+        ev = GridEvaluator(make_geometry(name), _gauss_axes((5, 4, 3)))
+        oracle = load_oracle(ev, lambda p: np.sin(np.pi * p[:, 0]) + p[:, 1] * p[:, 2])
+        rng = np.random.default_rng(50)
+        for axis in range(3):
+            fixed = np.stack([rng.integers(0, n, 6) for n in ev.shape], axis=1)
+            on_lines = oracle.lines(axis, fixed).ravel()
+            at_points = oracle.fn(_line_index(ev.shape, axis, fixed))
+            assert np.abs(on_lines - at_points).max() <= 1e-14 * np.abs(at_points).max()
 
     def test_pole_raises_like_points(self):
         from ttiga.assembly import metric_oracle
