@@ -176,14 +176,14 @@ def load_oracle(ev: GridEvaluator, source) -> CrossOracle:
     return _grid_oracle(ev, lambda jac, pts, idx: source(pts) * det3(jac))
 
 
-def metric_scale(ev: GridEvaluator, rng: np.random.Generator, n_probe: int = 512):
-    """RMS magnitude of the whole metric tensor on a random grid probe.
+def metric_scale(ev: GridEvaluator, rng: np.random.Generator):
+    """RMS magnitude of the whole metric tensor on 512 random grid points.
 
     Used as the common error scale for the six per-entry cross calls, so
     entries that vanish identically (orthogonal parameterizations) resolve
     as zero instead of fitting round-off noise.
     """
-    idx = np.stack([rng.integers(0, n, size=n_probe) for n in ev.shape], axis=1)
+    idx = np.stack([rng.integers(0, n, size=512) for n in ev.shape], axis=1)
     _, R = ev.metric(idx)
     return float(np.sqrt(np.mean(R**2)))
 

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,6 @@ CSV_COLUMNS = [
     "t_solve_s",
     "residual",
 ]
-TIMING_COLUMNS = {"t_assemble_s", "t_solve_s"}
 
 
 class ConfigError(ValueError):
@@ -62,23 +61,7 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # strict config parsing
 
-_RUN_KEYS = {
-    "geometry",
-    "geometry_params",
-    "degree",
-    "elements",
-    "eps_cross",
-    "eps_solve",
-    "eps_round",
-    "n_gauss",
-    "rank_cap",
-    "bc",
-    "source",
-    "analytic",
-    "seed",
-    "solver",
-    "label",
-}
+_RUN_KEYS = {f.name for f in fields(SolveConfig)} | {"label"}
 _SOLVE_FILE_KEYS = {"output_dir", "seed", "runs"}
 _BENCH_FILE_KEYS = {
     "output_dir",

@@ -38,7 +38,6 @@ from .geometry import GeometryPatch, GridEvaluator, make_geometry
 from .splines import Basis1D, KnotVector, eval_basis, tabulate
 from .tensor_train import (
     AmenOptions,
-    TtMatrix,
     TtTensor,
     amen_solve,
     load_tt,
@@ -233,13 +232,7 @@ class SolveConfig:
         if unknown:
             raise DriverError(f"unknown solver options: {sorted(unknown)}")
         for name, val in self.solver.items():
-            if name == "initial":
-                ok = val is None or isinstance(val, TtTensor)
-            else:
-                ok = (val is None and name == "max_rank") or (
-                    type(val) is int and val >= 1
-                )
-            if not ok:
+            if type(val) is not int or val < 1:
                 raise DriverError(f"bad value for solver option {name}: {val!r}")
 
     def _check_analytic(self):
@@ -442,13 +435,7 @@ def _cached(cfg: SolveConfig, what: str, assemble):
 
 def compression_ratio(t) -> float:
     """Dense element count of the represented object over TT parameters."""
-    if isinstance(t, TtMatrix):
-        full = int(np.prod(t.row_sizes, dtype=np.int64)) * int(
-            np.prod(t.col_sizes, dtype=np.int64)
-        )
-    else:
-        full = int(np.prod(t.mode_sizes, dtype=np.int64))
-    return full / t.n_params
+    return tt_info(t)["compression_ratio"]
 
 
 def evaluate_field(disc: Discretization, u: TtTensor, xi) -> float:

@@ -59,15 +59,13 @@ log = logging.getLogger(__name__)
 # eps / _CERTIFY_MARGIN skipped most failing certificates there and never
 # cost a half-sweep, which is dearer than several certificates.
 _CERTIFY_MARGIN = 10.0
+_CG_MAXITER = 1500
 
 
 @dataclass
 class AmenOptions:
     kick_rank: int = 4
     max_sweeps: int = 50
-    cg_maxiter: int = 1500
-    max_rank: int | None = None
-    initial: TtTensor | None = None
 
 
 @dataclass
@@ -298,7 +296,7 @@ class _LocalSystem:
 
         return apply
 
-    def solve(self, rhs3, x0, rtol, cg_maxiter):
+    def solve(self, rhs3, x0, rtol):
         """Local solution and its CG iteration count (None when direct).
 
         A core with a unit rank on either side is solved directly through
@@ -329,7 +327,7 @@ class _LocalSystem:
             x0=None if x0 is None else x0.ravel(),
             rtol=max(rtol, 1e-14),
             atol=0.0,
-            maxiter=cg_maxiter,
+            maxiter=_CG_MAXITER,
             M=M,
             callback=count,
         )
@@ -427,9 +425,9 @@ def amen_solve(
     ||z-projected residual|| / ||f|| at its end core, and only an estimate
     within ``eps / _CERTIFY_MARGIN`` triggers an exact certificate
     ||f - A u|| / ||f||; a failed certificate means more sweeps. The
-    returned residual is always exact; non-convergence after
-    ``max_sweeps`` is reported through the ``converged`` flag rather than
-    an exception.
+    returned solution is the certified iterate and its residual is always
+    exact; non-convergence after ``max_sweeps`` is reported through the
+    ``converged`` flag rather than an exception.
     """
     if A.row_sizes != A.col_sizes:
         raise ValueError("operator must be square in the TT-matrix sense")
@@ -447,11 +445,7 @@ def amen_solve(
 
     ops = [_OpCore(M) for M in A.cores]
 
-    if opts.initial is not None:
-        u = [G.copy() for G in opts.initial.cores]
-    else:
-        u = [G.copy() for G in tt_round(f, 0.5, max_rank=2).cores]
-    u = _orth_sweep(u)
+    u = _orth_sweep(tt_round(f, 0.5, max_rank=2).cores)
     # z's ranks are capped by the mode-size products on either side
     z_ranks = [
         min(opts.kick_rank, math.prod(sizes[:k]), math.prod(sizes[k:]))
@@ -496,7 +490,7 @@ def amen_solve(
                 if k == solved:
                     x3 = u[k]
                 else:
-                    x3, iters = sys_.solve(rhs3, u[k], rtol, opts.cg_maxiter)
+                    x3, iters = sys_.solve(rhs3, u[k], rtol)
                     if iters is None:
                         n_banded += 1
                     else:
@@ -522,10 +516,9 @@ def amen_solve(
                     yu = _residual(uL[k], ops[k], F, zR[k + 1], xt)
                 else:
                     yu = _residual(zL[k], ops[k], F, uR[k + 1], xt)
-                W = np.concatenate([basis, _unfold(yu, forward)], axis=1)
-                if opts.max_rank is not None:
-                    W = W[:, : max(opts.max_rank, basis.shape[1])]
-                Q, R = np.linalg.qr(W)
+                Q, R = np.linalg.qr(
+                    np.concatenate([basis, _unfold(yu, forward)], axis=1)
+                )
                 u[k] = _fold(Q, x3.shape, forward)
                 pad = np.zeros((R.shape[1] - carry.shape[0], carry.shape[1]))
                 nxt = R @ np.vstack([carry, pad])
@@ -556,10 +549,4 @@ def amen_solve(
 
     if rel_res is None:
         rel_res = exact_residual()
-    solution = TtTensor(u)
-    cleaned = tt_round(solution, eps * 0.1)
-    res_clean = tt_norm(tt_sub(f, tt_matvec(A, cleaned))) / fnorm
-    if res_clean <= max(rel_res, eps):
-        solution = cleaned
-        rel_res = res_clean
-    return AmenResult(solution, float(rel_res), bool(rel_res <= eps), sweeps)
+    return AmenResult(TtTensor(u), float(rel_res), bool(rel_res <= eps), sweeps)

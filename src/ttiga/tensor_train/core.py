@@ -135,15 +135,6 @@ class TtTensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return tt_scale(self, -1.0)
-
-    def norm(self) -> float:
-        return tt_norm(self)
-
-    def round(self, eps: float, max_rank: int | None = None) -> "TtTensor":
-        return tt_round(self, eps, max_rank)
-
 
 class TtMatrix:
     """Chain-of-cores representation of a linear operator on a TtTensor."""
@@ -216,9 +207,6 @@ class TtMatrix:
     def __matmul__(self, x):
         return tt_matvec(self, x)
 
-    def round(self, eps: float, max_rank: int | None = None) -> "TtMatrix":
-        return tt_round(self, eps, max_rank)
-
 
 # ---------------------------------------------------------------------------
 # shared helpers: matrix cores are handled through their vector view, where
@@ -283,11 +271,10 @@ def tt_sub(a, b):
 
 
 def tt_scale(a, c: float):
-    """Scalar multiple; the factor is absorbed into the first core."""
+    """Scalar multiple; the factor is absorbed into the first core, and
+    the result shares the other cores with ``a``."""
     cores, tag = _to_vector_view(a)
-    cores = [G.copy() for G in cores]
-    cores[0] = cores[0] * float(c)
-    return _from_vector_view(cores, tag)
+    return _from_vector_view([cores[0] * float(c)] + cores[1:], tag)
 
 
 def _orth_sweep(cores):
@@ -336,7 +323,7 @@ def tt_matvec(A: TtMatrix, x: TtTensor) -> TtTensor:
     return TtTensor(out)
 
 
-def _chop(s: np.ndarray, delta: float, max_rank: int | None) -> int:
+def _chop(s: np.ndarray, delta: float, max_rank: int | None = None) -> int:
     """Largest truncation with Frobenius tail <= delta; rank at least 1."""
     if s.size == 0:
         return 1
@@ -379,7 +366,7 @@ def tt_round(t, eps: float, max_rank: int | None = None):
     return _from_vector_view(cores, tag)
 
 
-def tt_from_full(X: np.ndarray, eps: float = 1e-14, max_rank: int | None = None) -> TtTensor:
+def tt_from_full(X: np.ndarray, eps: float = 1e-14) -> TtTensor:
     """Exact-to-eps TT-SVD of a dense array (small instances)."""
     X = np.asarray(X, dtype=float)
     d = X.ndim
@@ -392,7 +379,7 @@ def tt_from_full(X: np.ndarray, eps: float = 1e-14, max_rank: int | None = None)
     for k in range(d - 1):
         C = C.reshape(r * sizes[k], -1)
         U, s, Vt = np.linalg.svd(C, full_matrices=False)
-        keep = _chop(s, delta, max_rank) if total > 0 else 1
+        keep = _chop(s, delta) if total > 0 else 1
         cores.append(U[:, :keep].reshape(r, sizes[k], keep))
         C = s[:keep, None] * Vt[:keep]
         r = keep

@@ -25,6 +25,8 @@ __all__ = ["CrossOracle", "CrossResult", "tt_cross"]
 
 log = logging.getLogger(__name__)
 
+_MAX_SWEEPS = 20
+
 
 @dataclass(frozen=True)
 class CrossOracle:
@@ -123,7 +125,6 @@ def tt_cross(
     oracle: CrossOracle,
     eps: float,
     rank_cap: int = 64,
-    max_sweeps: int = 20,
     holdout_size: int = 1000,
     rng: np.random.Generator | None = None,
     scale: float | None = None,
@@ -138,7 +139,7 @@ def tt_cross(
     The right-to-left half starts from the left-to-right half's last fiber
     matrix instead of evaluating it again. A sweep that misses ``eps``
     doubles the ranks for the next one. The cross also stops when the
-    ranks reach ``rank_cap`` or after ``max_sweeps`` sweeps; ``sweeps``
+    ranks reach ``rank_cap`` or after ``_MAX_SWEEPS`` sweeps; ``sweeps``
     counts the sweeps begun. Hitting the cap with error above ``10 * eps``
     flags ``converged=False`` in the result rather than raising.
 
@@ -154,8 +155,6 @@ def tt_cross(
         raise ValueError(f"scale must be finite, got {scale!r}")
     if rank_cap < 1:
         raise ValueError("rank_cap must be at least 1")
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be at least 1")
     if holdout_size < 1:
         raise ValueError("holdout_size must be at least 1")
     rng = rng or np.random.default_rng()
@@ -197,7 +196,7 @@ def tt_cross(
         )
         return err
 
-    for sweep in range(max_sweeps):
+    for sweep in range(_MAX_SWEEPS):
         sweeps_done = sweep + 1
         # left-to-right: rebuild nested row sets and the interpolation cores
         cores = [None] * d

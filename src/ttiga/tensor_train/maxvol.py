@@ -1,8 +1,9 @@
 """Quasi-maximum-volume row selection (Goreinov et al., 2010).
 
 Given a tall matrix with full column rank, pick rows whose square submatrix
-A dominates the rest: every entry of M A^{-1} has magnitude at most ``tol``.
-Row swaps use the Sherman-Morrison rank-1 update of the coefficient matrix.
+A dominates the rest: every entry of M A^{-1} has magnitude at most
+``_TOL``. Row swaps use the Sherman-Morrison rank-1 update of the
+coefficient matrix, at most ``_MAX_ITERS`` of them.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["MaxvolError", "maxvol"]
+
+_TOL = 1.01
+_MAX_ITERS = 200
 
 
 class MaxvolError(np.linalg.LinAlgError):
@@ -34,8 +38,8 @@ def _pivot_rows(M: np.ndarray) -> np.ndarray:
     return perm[:r]
 
 
-def maxvol(M: np.ndarray, tol: float = 1.01, max_iters: int = 200) -> np.ndarray:
-    """Indices of ``r`` rows spanning a tol-dominant square submatrix.
+def maxvol(M: np.ndarray) -> np.ndarray:
+    """Indices of ``r`` rows spanning a ``_TOL``-dominant square submatrix.
 
     Ties in the greedy swap are broken toward the lowest row index, so the
     selection is deterministic for a given input.
@@ -44,15 +48,13 @@ def maxvol(M: np.ndarray, tol: float = 1.01, max_iters: int = 200) -> np.ndarray
     if M.ndim != 2:
         raise ValueError("maxvol expects a matrix")
     n, r = M.shape
-    if tol < 1.0:
-        raise ValueError("tol must be at least 1")
     if n <= r:
         return np.arange(n)
     rows = _pivot_rows(M)
     C = np.linalg.solve(M[rows].T, M.T).T  # C = M @ inv(M[rows])
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         i, j = np.unravel_index(int(np.argmax(np.abs(C))), C.shape)
-        if abs(C[i, j]) <= tol:
+        if abs(C[i, j]) <= _TOL:
             break
         # replace selected row j by row i (Sherman-Morrison on inv(A))
         coef = C[i].copy()

@@ -62,7 +62,8 @@ class TestSolveCommand:
     @pytest.mark.parametrize(
         "solver",
         [{"direct_solve_max": 10}, {"direct_solve_maxx": 10}, {"verbose": True},
-         {"kick_rank": "x"}, {"max_sweeps": 0}, {"initial": 1}],
+         {"kick_rank": "x"}, {"max_sweeps": 0}, {"initial": 1},
+         {"max_rank": 3}, {"cg_maxiter": 10}],
     )
     def test_bad_solver_option_rejected(self, tmp_path, capsys, solver):
         cfg = write_config(
@@ -76,7 +77,7 @@ class TestSolveCommand:
         cfg = write_config(
             tmp_path / "cfg.json",
             {"output_dir": str(tmp_path / "out"),
-             "runs": [dict(CUBE_RUN, solver={"kick_rank": 2, "max_rank": None})]},
+             "runs": [dict(CUBE_RUN, solver={"kick_rank": 2, "max_sweeps": 20})]},
         )
         assert main(["solve", "--config", str(cfg)]) == 0
 

@@ -267,7 +267,7 @@ class TestSolvePoisson:
 
     def test_one_exact_residual_per_solve(self, monkeypatch):
         """AMEn forms the exact residual f - A u only to certify: on this
-        solve one certificate passes and the cleanup certifies once more. A
+        solve the one certificate passes and its iterate is returned. A
         residual per half-sweep, as before, took 9 here (4 sweeps)."""
         from ttiga.tensor_train import amen
 
@@ -284,7 +284,7 @@ class TestSolvePoisson:
         )
         rep = solve_poisson(cfg)
         assert rep.solver_converged and rep.residual <= cfg.eps_solve
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_middle_core_cg_iterations(self, caplog):
         # the frame preconditioner; identity-frame block Jacobi took 36
@@ -326,6 +326,12 @@ class TestSolvePoisson:
             SolveConfig(geometry="ring", elements=0)
         with pytest.raises(DriverError):
             SolveConfig(geometry="ring", source="nope")
+
+    @pytest.mark.parametrize("solver", [{"initial": None}, {"max_rank": None}])
+    def test_removed_solver_options_rejected(self, solver):
+        # AMEn takes only kick_rank and max_sweeps
+        with pytest.raises(DriverError, match=next(iter(solver))):
+            SolveConfig(geometry="ring", solver=solver)
 
     @pytest.mark.parametrize(
         "geometry,source,analytic",

@@ -53,6 +53,19 @@ class TestArithmetic:
         assert np.allclose(tt_scale(a, -2.0).full(), -2.0 * a.full(), atol=1e-13)
         assert np.abs(tt_sub(a, a).full()).max() < 1e-13
 
+    @pytest.mark.parametrize("kind", ["tensor", "matrix"])
+    def test_scale_leaves_operand_unchanged(self, kind):
+        # the scaled train shares a's untouched cores instead of copying them
+        rng = np.random.default_rng(3)
+        if kind == "tensor":
+            a = TtTensor.random((4, 5, 6), (2, 3), rng)
+        else:
+            a = tt_matrix_from_full(rng.standard_normal((3, 2, 4, 3, 2, 2)))
+        before = [G.copy() for G in a.cores]
+        s = tt_scale(a, -2.5)
+        assert np.allclose(s.full(), -2.5 * a.full(), atol=1e-13)
+        assert all(np.array_equal(G, H) for G, H in zip(a.cores, before))
+
     def test_dot_vs_norm(self):
         """tt_norm equals the dense norm sqrt(x . x), also for (a + delta) - a
         with |delta| / |a| = 1e-12, where a chain-contracted inner product
@@ -176,7 +189,7 @@ class TestMaxvol:
     def test_dominance_certificate(self):
         rng = np.random.default_rng(21)
         M = rng.standard_normal((200, 8))
-        sel = maxvol(M, tol=1.01)
+        sel = maxvol(M)
         C = np.linalg.solve(M[sel].T, M.T).T
         assert np.abs(C).max() <= 1.01 + 1e-9
 
@@ -194,10 +207,6 @@ class TestMaxvol:
         M[:, 2] = np.arange(10) + 1
         with pytest.raises(MaxvolError):
             maxvol(M)
-
-    def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            maxvol(np.eye(3), tol=0.5)
 
 
 class TestCross:
@@ -531,8 +540,8 @@ class TestProjectedResidual:
         res = amen_solve(A, f, 1e-8)
         assert res.converged and res.residual <= 1e-8
         assert abs(relative_residual(A, f, res.solution) - res.residual) <= 1e-12
-        # one certificate per half-sweep run, plus the cleanup's
-        assert 2 * res.sweeps <= len(calls) <= 2 * res.sweeps + 1
+        # one certificate per half-sweep run
+        assert 2 * res.sweeps - 1 <= len(calls) <= 2 * res.sweeps
 
     def test_failed_certificates_keep_sweeping(self, monkeypatch):
         monkeypatch.setattr(amen, "_estimate", lambda *args: 0.0)
@@ -542,7 +551,7 @@ class TestProjectedResidual:
         f = tt_round(TtTensor.random((8, 8, 8), (2, 2), rng), 1e-14)
         res = amen_solve(A, f, 1e-30, AmenOptions(max_sweeps=3))
         assert not res.converged and res.sweeps == 3
-        assert len(calls) == 2 * 3 + 1
+        assert len(calls) == 2 * 3
         assert res.residual == pytest.approx(relative_residual(A, f, res.solution), abs=1e-15)
 
     def test_max_sweeps_certifies_last_iterate(self, monkeypatch):
@@ -552,8 +561,8 @@ class TestProjectedResidual:
         f = tt_round(TtTensor.random((16, 16, 16), (3, 3), rng), 1e-14)
         res = amen_solve(A, f, 1e-30, AmenOptions(max_sweeps=2))
         assert not res.converged and res.sweeps == 2
-        # no estimate reaches 1e-31: one certificate at the end, one cleanup
-        assert len(calls) == 2
+        # no estimate reaches 1e-31: one certificate at the end
+        assert len(calls) == 1
         assert 0 < res.residual
         assert res.residual == pytest.approx(relative_residual(A, f, res.solution), abs=1e-15)
 
@@ -665,7 +674,7 @@ class TestLocalSolve:
         phiL, M, phiR, B = random_local_system(r0, a, 9, b, r1, 2, rng)
         sys_ = amen._LocalSystem(phiL, amen._OpCore(M), phiR)
         rhs3 = rng.standard_normal(sys_.shape3)
-        x3, iters = sys_.solve(rhs3, None, 1e-3, 100)
+        x3, iters = sys_.solve(rhs3, None, 1e-3)
         assert iters is None
         ref = np.linalg.solve(B, rhs3.ravel())
         assert np.linalg.norm(x3.ravel() - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -685,7 +694,7 @@ class TestLocalSolve:
         monkeypatch.setattr(amen.sla, "solve_banded", counting)
         sys_ = amen._LocalSystem(phiL, amen._OpCore(M), phiR)
         rhs3 = rng.standard_normal(sys_.shape3)
-        x3, _ = sys_.solve(rhs3, None, 1e-3, 100)
+        x3, _ = sys_.solve(rhs3, None, 1e-3)
         assert calls == [1]
         ref = np.linalg.solve(B, rhs3.ravel())
         assert np.linalg.norm(x3.ravel() - ref) <= 1e-9 * np.linalg.norm(ref)
@@ -704,7 +713,7 @@ class TestLocalSolve:
                 for m in range(3):
                     assert np.allclose(ab[m, x, z, : n - m], np.diagonal(blk, -m))
         rhs3 = rng.standard_normal(sys_.shape3)
-        x3, iters = sys_.solve(rhs3, None, 1e-12, 500)
+        x3, iters = sys_.solve(rhs3, None, 1e-12)
         assert iters is not None and iters > 0
         ref = np.linalg.solve(B, rhs3.ravel())
         assert np.linalg.norm(x3.ravel() - ref) <= 1e-8 * np.linalg.norm(ref)
@@ -721,7 +730,7 @@ class TestLocalSolve:
         phiL, M, phiR, B = random_local_system(r0, a, n, b, r1, hb, rng)
         sys_ = amen._LocalSystem(phiL, amen._OpCore(M), phiR)
         rhs3 = rng.standard_normal(sys_.shape3)
-        x3, iters = sys_.solve(rhs3, None, 1e-12, 500)
+        x3, iters = sys_.solve(rhs3, None, 1e-12)
         assert iters is not None and iters <= 2
         ref = np.linalg.solve(B, rhs3.ravel())
         assert np.linalg.norm(x3.ravel() - ref) <= 1e-8 * np.linalg.norm(ref)
@@ -748,7 +757,7 @@ class TestLocalSolve:
         assert np.allclose(P, P.T, atol=1e-10 * np.abs(P).max())
         assert np.linalg.eigvalsh(0.5 * (P + P.T))[0] > 0
         rhs3 = rng.standard_normal(sys_.shape3)
-        x3, iters = sys_.solve(rhs3, None, 1e-12, 500)
+        x3, iters = sys_.solve(rhs3, None, 1e-12)
         assert iters is not None and iters > 0
         ref = np.linalg.solve(B, rhs3.ravel())
         assert np.linalg.norm(x3.ravel() - ref) <= 1e-8 * np.linalg.norm(ref)
