@@ -135,20 +135,24 @@ def build_quadrature(solution_bases, n_gauss=None) -> Discretization:
 # ---------------------------------------------------------------------------
 # cross oracles on the quadrature grid
 
-_BATCH = 1 << 15
+# points per block of grid evaluation, shared by the cross oracles' line
+# chunks and the error quadrature's slabs (one ring e=32 slab). A block's
+# Jacobians and basis sums take some 50 doubles per point, so larger blocks
+# raise the peak memory; on the torus, 2^15 was no faster.
+_BLOCK = 1 << 13
 
 
 def _grid_oracle(ev: GridEvaluator, values) -> CrossOracle:
     """Cross oracle of ``values(jac, pts, idx)`` on the grid of ``ev``:
     pointwise (the cross's holdout samples), and on whole grid lines in
-    chunks of at most ``_BATCH`` points (its fibers)."""
+    chunks of at most ``_BLOCK`` points (its fibers), at least one line."""
 
     def fn(idx):
         jac, pts = ev.jacobians(idx)
         return values(jac, pts, idx)
 
     def lines(k, fixed):
-        step = max(1, _BATCH // ev.shape[k])
+        step = max(1, _BLOCK // ev.shape[k])
         out = []
         for m in range(0, fixed.shape[0], step):
             part = fixed[m: m + step]

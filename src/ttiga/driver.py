@@ -32,6 +32,7 @@ from .assembly import (
     assemble_load,
     assemble_stiffness,
     build_quadrature,
+    _BLOCK,
     _lift_tensor,
 )
 from .geometry import GeometryPatch, GridEvaluator, make_geometry
@@ -455,20 +456,15 @@ def _grid_value_tables(disc: Discretization):
     ]
 
 
-# points per block of the error quadrature, which evaluates whole i3 slabs
-# (at least one): one ring e=32 slab; larger blocks raise the peak memory
-_BLOCK = 1 << 13
-
-
 def error_norms(u: TtTensor, analytic_fn, patch: GeometryPatch, disc: Discretization):
     """Relative L1 and L2 errors of ``u`` against ``analytic_fn``.
 
     Returns ``(rel_l1, rel_l2)``: the integral of |u - u_exact| over that of
     |u_exact|, and the root of the integral of (u - u_exact)^2 over that of
     u_exact^2. Both include the volume element and use the assembly
-    quadrature grid, in blocks of whole i3 slabs of at most ``_BLOCK``
-    points. det J and the points come from the homogeneous sums, with no
-    Jacobian formed.
+    quadrature grid, in blocks of whole i3 slabs (at least one) of at most
+    ``_BLOCK`` points, the block the cross oracles evaluate lines in. det J
+    and the points come from the homogeneous sums, with no Jacobian formed.
     """
     Bq = _grid_value_tables(disc)
     V = [

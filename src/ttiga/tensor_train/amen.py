@@ -31,6 +31,16 @@ M_k banded (half-bandwidth p), and the core's shape alone picks its solver:
 A half-sweep starts at the core where the previous one ended, with the same
 interfaces and right-hand side, so that core's solution is reused.
 
+Operator cores are held as their 2p + 1 diagonals, which is where the
+banded 1D factors of the IGA operator put them (Bunger, Dolgov & Stoll, SIAM
+J. Sci. Comput. 42, 2020). Every contraction with a core (the local matvec,
+the interface updates and the certificate) runs over the band one block of
+mode rows at a time, as GEMMs over the ranks, so no step holds a whole
+(rank, n, rank, rank) intermediate. The certificate ||f - A u|| is streamed
+the same way: a right-to-left sweep of R factors over the train f - A u,
+whose cores are formed block by block and folded in by a running QR, so
+neither A u nor f - A u is ever formed.
+
 Each half-sweep logs one debug record: the z estimate, the largest
 pre-solve local residual, ranks, banded and CG local solve counts, and total
 CG iterations; each certificate logs the estimate, the exact residual and
@@ -45,9 +55,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+# tt_matvec and tt_sub are not called here; they stay importable because the
+# benchmark's layer trace (perfbench/layertrace.py) wraps them by name
 from .core import TtMatrix, TtTensor, _orth_sweep, tt_matvec, tt_norm, tt_round, tt_sub
 
 __all__ = ["AmenOptions", "AmenResult", "amen_solve"]
@@ -60,6 +71,12 @@ log = logging.getLogger(__name__)
 # cost a half-sweep, which is dearer than several certificates.
 _CERTIFY_MARGIN = 10.0
 _CG_MAXITER = 1500
+# elements in one block of the band kernel's arrays (its column window and
+# its product): blocks of mode rows are sized from it, so no contraction
+# holds a whole (rank, n, rank, rank) intermediate. On quarter_torus e=128 a
+# middle-core block has 3 (certificate) to 18 rows; smaller blocks cost
+# Python overhead per block, larger ones memory
+_BLOCK_ELEMS = 1 << 17
 
 
 @dataclass
@@ -81,63 +98,91 @@ class AmenResult:
 
 
 class _OpCore:
-    """One operator core with sparse contraction kernels and its band.
+    """One operator core held as its band, the layouts the band kernel reads.
 
-    Stiffness cores are banded in their (row, col) pair with half-bandwidth
-    ``hb`` equal to the spline degree. The contractions run as sparse
-    products, so their cost follows the band, and the band's diagonals feed
-    the band storage of the local solvers.
+    ``fwd[i, a, t, b]`` is entry (i, i + t - hb) of the dense core's slice
+    (a, b), for t = 0..2 hb; slots whose column falls outside the matrix are
+    zero. ``hb`` is the largest |i - j| of a nonzero entry, the spline
+    degree for stiffness cores. ``rev`` holds the same band with the rank
+    axes swapped, ``rev[i, b, t, a]``, for contractions over the right
+    rank. Every contraction with the core goes through
+    :func:`_band_blocks`, so its cost and memory follow the band.
     """
 
     def __init__(self, M: np.ndarray):
-        self.M = M
         a, n, _, b = M.shape
-        ka, ki, kj, kb = np.nonzero(M)
-        vals = M[ka, ki, kj, kb]
-        self.hb = int(np.max(np.abs(ki - kj))) if ki.size else 0
-        # rows (i, b) by columns (a, j), and rows (i, a) by columns (b, j)
-        self.fwd = sp.csr_matrix(
-            (vals, (ki * b + kb, ka * n + kj)), shape=(n * b, a * n)
-        )
-        self.rev = sp.csr_matrix(
-            (vals, (ki * a + ka, kb * n + kj)), shape=(n * a, b * n)
-        )
+        rows = np.arange(n)
+        dist = np.abs(rows[:, None] - rows[None, :])
+        self.hb = int(np.max(dist, where=np.any(M, axis=(0, 3)), initial=0))
+        cols = rows[:, None] + np.arange(-self.hb, self.hb + 1)
+        inside = (cols >= 0) & (cols < n)
+        band = M[:, rows[:, None], np.clip(cols, 0, n - 1), :] * inside[:, :, None]
+        self.n = n
+        self.fwd = np.ascontiguousarray(band.transpose(1, 0, 2, 3))
+        self.rev = np.ascontiguousarray(band.transpose(1, 3, 2, 0))
 
-    def lower(self):
-        """Pairs (m, D) for m = 0..hb with D[a, j, b] = M[a, j + m, j, b]."""
-        n = self.M.shape[1]
-        return [
-            (m, self.M[:, np.arange(m, n), np.arange(n - m), :])
-            for m in range(self.hb + 1)
-        ]
+    def lower(self, m: int) -> np.ndarray:
+        """Diagonal m below the main one: D[j, a, b] = M[a, j + m, j, b]."""
+        return self.fwd[m:, :, self.hb - m, :]
 
-    @staticmethod
-    def _contract(S, T):
-        X, c, n, W = T.shape
-        out = S @ T.transpose(1, 2, 0, 3).reshape(c * n, X * W)
-        return out.reshape(n, -1, X, W).transpose(2, 0, 1, 3)
 
-    def apply(self, T: np.ndarray) -> np.ndarray:
-        """Contract (a=left rank, j=col): T (X,a,j,W) -> (X,i,b,W)."""
-        return self._contract(self.fwd, T)
+def _band_blocks(D, phi, Ut):
+    """An operator core applied between an interface and a core, one block
+    of mode rows at a time.
 
-    def apply_rev(self, T: np.ndarray) -> np.ndarray:
-        """Contract (b=right rank, j=col): T (X,b,j,W) -> (X,i,a,W)."""
-        return self._contract(self.rev, T)
+    ``D`` is :attr:`_OpCore.fwd` or :attr:`_OpCore.rev`, with axes (i, c, t,
+    e); ``phi`` is (s, c, v) and ``Ut`` is (j, w, v), the core with its mode
+    axis first. Yields (i0, i1, Y) for consecutive blocks of rows, with
+
+        Y[i - i0, w, s, e] = sum_(c, v, j) D_i(c, j, e) phi[s, c, v] Ut[j, w, v],
+
+    D_i(c, j, e) being the core's entry (i, j). T = phi contracted with Ut
+    is formed once per column j, into a window that holds a block's columns
+    i0 - hb .. i1 + hb - 1; each of the 2 hb + 1 offsets adds one GEMM over
+    c, batched over the block's rows. A block's arrays hold about
+    ``_BLOCK_ELEMS`` elements besides the window's halo of 2 hb columns.
+    """
+    n, c, width, e = D.shape
+    h = width // 2
+    w, s, nv = Ut.shape[1], phi.shape[0], phi.shape[2]
+    P = w * s
+    step = min(n, max(1, _BLOCK_ELEMS // (P * (c + 2 * e))))
+    Up = np.pad(Ut, ((h, h), (0, 0), (0, 0)))
+    rhs = phi.transpose(2, 0, 1).reshape(nv, s * c)
+    T = np.empty((step + 2 * h, P, c))
+    buf = np.empty((step, P, e))
+
+    def fill(rows, j0, j1):  # T rows <- padded columns j0 .. j1 - 1
+        np.matmul(Up[j0:j1].reshape(-1, nv), rhs, out=rows.reshape(-1, s * c))
+
+    fill(T[: 2 * h], 0, 2 * h)
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        B = i1 - i0
+        fill(T[2 * h: 2 * h + B], i0 + 2 * h, i1 + 2 * h)
+        Y = np.matmul(T[:B], D[i0:i1, :, 0])
+        for t in range(1, width):
+            Y += np.matmul(T[t: t + B], D[i0:i1, :, t], out=buf[:B])
+        yield i0, i1, Y.reshape(B, w, s, e)
+        T[: 2 * h] = T[B: B + 2 * h]
 
 
 def _env_left_A(phi, V, U, op: _OpCore):
     """Left interface V^T A U advanced past one core; V is the row side."""
-    t = np.einsum("xay,yjv->xajv", phi, U, optimize=True)
-    t = op.apply(t)
-    return np.einsum("xiu,xibv->ubv", V, t, optimize=True)
+    out = sum(
+        np.tensordot(V[:, i0:i1], Y, axes=([0, 1], [2, 0]))
+        for i0, i1, Y in _band_blocks(op.fwd, phi, U.transpose(1, 2, 0))
+    )
+    return np.ascontiguousarray(out.transpose(0, 2, 1))  # (u, b, v)
 
 
 def _env_right_A(phi, V, U, op: _OpCore):
     """Right interface V^T A U advanced past one core; V is the row side."""
-    t = np.einsum("sbv,wjv->sbjw", phi, U, optimize=True)
-    t = op.apply_rev(t)  # (s, i, a, w)
-    return np.einsum("zis,siaw->zaw", V, t, optimize=True)
+    out = sum(
+        np.tensordot(V[:, i0:i1], Y, axes=([1, 2], [0, 2]))
+        for i0, i1, Y in _band_blocks(op.rev, phi, U.transpose(1, 0, 2))
+    )
+    return np.ascontiguousarray(out.transpose(0, 2, 1))  # (z, a, w)
 
 
 def _env_step(env, V, U, op: _OpCore, F, forward: bool):
@@ -148,6 +193,40 @@ def _env_step(env, V, U, op: _OpCore, F, forward: bool):
         return _env_left_A(env[0], V, U, op), phif
     phif = np.einsum("vf,ziv,cif->zc", env[1], V, F, optimize=True)
     return _env_right_A(env[0], V, U, op), phif
+
+
+def _residual_norm(ops, f: TtTensor, u) -> float:
+    """||f - A u|| for the operator cores ``ops`` and u's cores ``u``.
+
+    One right-to-left sweep of R factors over the train f - A u, as
+    :func:`tt_norm` runs it, without forming that train: core k of f - A u
+    is block diagonal in f's core and A_k u_k, and its rows (i, m) after
+    contraction with the R factor of the cores to its right are formed one
+    block of mode rows at a time and folded into the next R factor by a
+    running QR. The columns of A u's block are ordered (u rank, A rank).
+    """
+    R = np.array([[1.0, -1.0]])  # f - A u: the one place the sign enters
+    sq = 0.0
+    for k in range(len(u) - 1, -1, -1):
+        F, U, op = f.cores[k], u[k], ops[k]
+        m, rf = R.shape[0], F.shape[2]
+        Rf = R[:, :rf]
+        Ry = R[:, rf:].reshape(m, U.shape[2], -1).transpose(0, 2, 1)  # (m, b, y)
+        Rk = None
+        for i0, i1, Y in _band_blocks(op.rev, Ry, U.transpose(1, 0, 2)):
+            Fb = np.tensordot(F[:, i0:i1], Rf, axes=([2], [1]))  # (c, i, m)
+            Yb = Y.transpose(0, 2, 1, 3)  # (i, m, x, a)
+            if k == 0:  # the first cores add up: both have left rank 1
+                sq += float(np.sum((Fb[0] + Yb[:, :, 0, 0]) ** 2))
+            else:
+                rows = np.concatenate(
+                    [Fb.transpose(1, 2, 0), Yb.reshape(i1 - i0, m, -1)], axis=2
+                ).reshape((i1 - i0) * m, -1)
+                if Rk is not None:
+                    rows = np.concatenate([Rk, rows])
+                Rk = np.linalg.qr(rows, mode="r")
+        R = Rk
+    return math.sqrt(sq)
 
 
 def _banded_solver(ab: np.ndarray):
@@ -201,12 +280,15 @@ class _LocalSystem:
         self.phiL = phiL
         self.op = op
         self.phiR = phiR
-        self.shape3 = (phiL.shape[2], op.M.shape[1], phiR.shape[2])
+        self.shape3 = (phiL.shape[2], op.n, phiR.shape[2])
         self.size = int(np.prod(self.shape3))
 
     def matvec3(self, v):
-        t = self.op.apply(np.tensordot(self.phiL, v, axes=([2], [0])))
-        return np.tensordot(t, self.phiR, axes=([2, 3], [1, 2]))
+        out = np.empty((self.phiL.shape[0], self.op.n, self.phiR.shape[0]))
+        for i0, i1, Y in _band_blocks(self.op.fwd, self.phiL, v.transpose(1, 2, 0)):
+            Y = np.tensordot(Y, self.phiR, axes=([1, 3], [2, 1]))  # (i, x, z)
+            out[:, i0:i1] = Y.transpose(1, 0, 2)
+        return out
 
     def mode_major_band(self):
         """Lower band of the whole matrix with unknowns ordered (i, x, z).
@@ -219,9 +301,10 @@ class _LocalSystem:
         R = r0 * r1
         ab = np.zeros(((self.op.hb + 1) * R, n * R))
         e = np.arange(R)
-        for m, D in self.op.lower():
+        for m in range(self.op.hb + 1):
             blocks = np.einsum(
-                "xay,anb,zbw->nxzyw", self.phiL, D, self.phiR, optimize=True
+                "xay,nab,zbw->nxzyw", self.phiL, self.op.lower(m), self.phiR,
+                optimize=True,
             ).reshape(n - m, R, R)
             rows = m * R + e[:, None] - e[None, :]
             cols = (np.arange(n - m) * R)[:, None, None] + np.tile(e, (R, 1))
@@ -241,9 +324,9 @@ class _LocalSystem:
         dL = np.einsum("xax->xa", self.phiL)
         dR = np.einsum("zbz->zb", self.phiR)
         ab = np.zeros((self.op.hb + 1, r0 * r1 * n))
-        for m, D in self.op.lower():
+        for m in range(self.op.hb + 1):
             ab[m].reshape(r0, r1, n)[:, :, : n - m] = np.einsum(
-                "xa,anb,zb->xzn", dL, D, dR, optimize=True
+                "xa,nab,zb->xzn", dL, self.op.lower(m), dR, optimize=True
             )
         return ab
 
@@ -258,9 +341,9 @@ class _LocalSystem:
         (S, T), which diagonalize every slice; a side with more, or whose T
         is not positive definite, takes the orthonormal eigenvectors of S.
         """
-        M = self.op.M
-        nM = np.sqrt(np.einsum("aijb,aijb->ab", M, M))
-        trM = np.einsum("aiib->ab", M)
+        band, hb = self.op.fwd, self.op.hb
+        nM = np.sqrt(np.einsum("iatb,iatb->ab", band, band))
+        trM = band[:, :, hb, :].sum(axis=0)
         nL = np.linalg.norm(self.phiL, axis=(0, 2))
         nR = np.linalg.norm(self.phiR, axis=(0, 2))
         trL = np.einsum("xax->a", self.phiL)
@@ -454,7 +537,7 @@ def amen_solve(
     z = _orth_sweep(TtTensor.random(sizes, z_ranks, np.random.default_rng(0)).cores)
 
     def exact_residual():
-        return tt_norm(tt_sub(f, tt_matvec(A, TtTensor(u)))) / fnorm
+        return _residual_norm(ops, f, u) / fnorm
 
     # interfaces (A environment, f environment) with row side u or z
     one = (np.ones((1, 1, 1)), np.ones((1, 1)))

@@ -272,13 +272,13 @@ class TestSolvePoisson:
         from ttiga.tensor_train import amen
 
         calls = []
-        matvec = amen.tt_matvec
+        residual_norm = amen._residual_norm
 
-        def counting(A, x):
+        def counting(*args):
             calls.append(1)
-            return matvec(A, x)
+            return residual_norm(*args)
 
-        monkeypatch.setattr(amen, "tt_matvec", counting)
+        monkeypatch.setattr(amen, "_residual_norm", counting)
         cfg = SolveConfig(
             geometry="quarter_torus", degree=2, elements=8, source="sin_pi_xyz"
         )

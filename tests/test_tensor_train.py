@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -514,14 +515,15 @@ class TestAmen:
 
 
 def count_exact_residuals(monkeypatch):
-    """Counter of the exact residuals amen_solve forms (its tt_matvec calls)."""
+    """Counter of the exact residuals amen_solve forms (its certificates)."""
     calls = []
+    residual_norm = amen._residual_norm
 
-    def counting(A, x):
+    def counting(*args):
         calls.append(1)
-        return tt_matvec(A, x)
+        return residual_norm(*args)
 
-    monkeypatch.setattr(amen, "tt_matvec", counting)
+    monkeypatch.setattr(amen, "_residual_norm", counting)
     return calls
 
 
@@ -777,6 +779,204 @@ class TestLocalSolve:
         assert top not in probes
         if guess == answer and 1 < answer < top:
             assert len(probes) == 2
+
+
+def banded_core(a, n, b, hb, rng):
+    """Random dense operator core (a, n, n, b) of half-bandwidth exactly hb."""
+    M = rng.standard_normal((a, n, n, b))
+    M[:, np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > hb, :] = 0.0
+    return M
+
+
+def banded_op(sizes, rank, hb, rng):
+    """Random TT operator with inner ranks ``rank``; ``hb=None`` leaves its
+    cores dense (half-bandwidth n - 1)."""
+    full = (1,) + (rank,) * (len(sizes) - 1) + (1,)
+    return TtMatrix(
+        [
+            banded_core(full[k], n, full[k + 1], n - 1 if hb is None else hb, rng)
+            for k, n in enumerate(sizes)
+        ]
+    )
+
+
+# (hb, n): diagonal, banded, n <= 2 hb, and dense (hb = n - 1)
+BAND_CASES = [(0, 7), (2, 8), (2, 4), (6, 7)]
+
+
+def close(got, ref):
+    return np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestBandKernels:
+    @pytest.mark.parametrize("hb,n", BAND_CASES)
+    def test_core_band_holds_the_diagonals(self, hb, n):
+        M = banded_core(2, n, 3, hb, np.random.default_rng(70))
+        op = amen._OpCore(M)
+        assert op.hb == hb
+        for m in range(hb + 1):
+            diag = np.diagonal(M, -m, axis1=1, axis2=2).transpose(2, 0, 1)
+            assert np.array_equal(op.lower(m), diag)
+        # slot t of row i is column i + t - hb; slots outside the matrix are 0
+        for i in range(n):
+            for t in range(2 * hb + 1):
+                j = i + t - hb
+                want = M[:, i, j, :] if 0 <= j < n else np.zeros((2, 3))
+                assert np.array_equal(op.fwd[i, :, t, :], want)
+                assert np.array_equal(op.rev[i, :, t, :], op.fwd[i, :, t, :].T)
+
+    @pytest.mark.parametrize("block_elems", [1, 200, amen._BLOCK_ELEMS])
+    @pytest.mark.parametrize("hb,n", BAND_CASES)
+    def test_contractions_match_dense(self, monkeypatch, hb, n, block_elems):
+        # row sides (x, z, and the row cores' ranks) differ from column sides
+        monkeypatch.setattr(amen, "_BLOCK_ELEMS", block_elems)
+        rng = np.random.default_rng(71 + n + hb)
+        a, b, x, y, z, w = 2, 3, 3, 2, 4, 3
+        M = banded_core(a, n, b, hb, rng)
+        op = amen._OpCore(M)
+        phiL = rng.standard_normal((x, a, y))
+        phiR = rng.standard_normal((z, b, w))
+        v = rng.standard_normal((y, n, w))
+        ref = np.einsum("xay,aijb,yjw,zbw->xiz", phiL, M, v, phiR)
+        assert close(amen._LocalSystem(phiL, op, phiR).matvec3(v), ref)
+        V, U = rng.standard_normal((x, n, 5)), rng.standard_normal((y, n, 4))
+        ref = np.einsum("xay,aijb,xiu,yjv->ubv", phiL, M, V, U)
+        assert close(amen._env_left_A(phiL, V, U, op), ref)
+        V, U = rng.standard_normal((5, n, z)), rng.standard_normal((4, n, w))
+        ref = np.einsum("sbv,aijb,zis,wjv->zaw", phiR, M, V, U)
+        assert close(amen._env_right_A(phiR, V, U, op), ref)
+
+    def test_blocks_cover_rows_with_a_short_last_block(self, monkeypatch):
+        # P (c + 2 e) = 6 (2 + 2 * 3) = 48 elements per row: 3 rows a block
+        monkeypatch.setattr(amen, "_BLOCK_ELEMS", 3 * 48)
+        rng = np.random.default_rng(72)
+        op = amen._OpCore(banded_core(2, 8, 3, 2, rng))
+        phi, Ut = rng.standard_normal((2, 2, 3)), rng.standard_normal((8, 3, 3))
+        blocks = [(i0, i1) for i0, i1, _ in amen._band_blocks(op.fwd, phi, Ut)]
+        assert blocks == [(0, 3), (3, 6), (6, 8)]
+
+    @pytest.mark.parametrize("hb,n", BAND_CASES)
+    def test_solver_bands_match_dense(self, hb, n):
+        rng = np.random.default_rng(73 + n + hb)
+        r0, r1 = 3, 2
+        phiL, M, phiR, B = random_local_system(r0, 2, n, 3, r1, hb, rng)
+        sys_ = amen._LocalSystem(phiL, amen._OpCore(M), phiR)
+        # mode-major order (i, x, z): the lower band of the permuted matrix
+        R = r0 * r1
+        Bm = B.reshape(r0, n, r1, r0, n, r1).transpose(1, 0, 2, 4, 3, 5)
+        Bm = Bm.reshape(n * R, n * R)
+        ab = sys_.mode_major_band()
+        assert ab.shape == ((hb + 1) * R, n * R)
+        for k in range(ab.shape[0]):
+            assert close(ab[k, : n * R - k], np.diagonal(Bm, -k))
+        # block Jacobi: the (x, z) diagonal blocks, one after the other
+        ab = sys_.block_jacobi_band().reshape(hb + 1, r0, r1, n)
+        Bt = B.reshape(r0, n, r1, r0, n, r1)
+        for xx in range(r0):
+            for zz in range(r1):
+                blk = Bt[xx, :, zz, xx, :, zz]
+                for m in range(hb + 1):
+                    assert close(ab[m, xx, zz, : n - m], np.diagonal(blk, -m))
+
+    @pytest.mark.parametrize("hb,n", BAND_CASES)
+    def test_frames_read_norms_and_traces_from_band(self, monkeypatch, hb, n):
+        rng = np.random.default_rng(74 + n + hb)
+        phiL, M, phiR, _ = random_local_system(3, 2, n, 3, 4, hb, rng)
+        seen = []
+        side_frame = amen._side_frame
+
+        def spy(phi, weight, trace_w):
+            seen.append((weight, trace_w))
+            return side_frame(phi, weight, trace_w)
+
+        monkeypatch.setattr(amen, "_side_frame", spy)
+        amen._LocalSystem(phiL, amen._OpCore(M), phiR).frames()
+        nM = np.sqrt(np.einsum("aijb,aijb->ab", M, M))
+        trM = np.einsum("aiib->ab", M)
+        nL, nR = (np.linalg.norm(p, axis=(0, 2)) for p in (phiL, phiR))
+        trL, trR = np.einsum("xax->a", phiL), np.einsum("zbz->b", phiR)
+        want = [(nL * (nM @ nR), trM @ trR), (nR * (nM.T @ nL), trM.T @ trL)]
+        for (weight, trace_w), (w_ref, t_ref) in zip(seen, want, strict=True):
+            assert close(weight, w_ref) and close(trace_w, t_ref)
+
+
+class TestResidualNorm:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("hb", [1, None], ids=["banded", "dense"])
+    @pytest.mark.parametrize("n,rank", [(7, 2), (3, 5)], ids=["ranks<n", "ranks>n"])
+    def test_matches_formed_residual(self, d, hb, n, rank):
+        # d = 4 checks that the sign of f - A u enters once, not per core
+        rng = np.random.default_rng(80 + d + n)
+        sizes = tuple(n + k for k in range(d))
+        A = banded_op(sizes, 2, hb, rng)
+        f = TtTensor.random(sizes, (rank + 1,) * (d - 1), rng)
+        u = TtTensor.random(sizes, (rank,) * (d - 1), rng)
+        ref = tt_norm(tt_sub(f, tt_matvec(A, u)))
+        got = amen._residual_norm([amen._OpCore(M) for M in A.cores], f, u.cores)
+        assert abs(got - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_zero_residual(self, d):
+        sizes = (5,) * d
+        u = TtTensor.random(sizes, (7,) * (d - 1), np.random.default_rng(85))
+        ops = [amen._OpCore(M) for M in TtMatrix.identity(sizes).cores]
+        assert amen._residual_norm(ops, u, u.cores) <= 1e-14 * tt_norm(u)
+
+
+def peak_bytes(fn):
+    """Peak bytes that ``fn()`` allocates on top of what is already live."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryGuards:
+    """Transient memory of AMEn's contractions at quarter_torus e=128's
+    shapes: K ranks (2, 9), f ranks (8, 10), u ranks (24, 23), n = 128.
+    Forming A u and whole (x, i, b, w) intermediates took 27.4 MB for the
+    certificate, 8.9 MB for a middle-core matvec and 11.2 MB for a middle-core
+    interface update."""
+
+    n = 128
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        rng = np.random.default_rng(90)
+        n = self.n
+        A = TtMatrix([banded_core(r0, n, r1, 2, rng) for r0, r1 in ((1, 2), (2, 9), (9, 1))])
+        f = TtTensor.random((n,) * 3, (8, 10), rng)
+        u = TtTensor.random((n,) * 3, (24, 23), rng)
+        return [amen._OpCore(M) for M in A.cores], f, u, rng
+
+    def test_certificate(self, system):
+        ops, f, u, _ = system
+        # A u's middle core alone: (2 * 24, n, 9 * 23) doubles, 10.2 MB
+        au_core = 2 * 24 * self.n * 9 * 23 * 8
+        assert peak_bytes(lambda: amen._residual_norm(ops, f, u.cores)) < au_core / 2
+
+    def test_middle_core_matvec(self, system):
+        ops, _, u, rng = system
+        sys_ = amen._LocalSystem(
+            rng.standard_normal((24, 2, 24)), ops[1], rng.standard_normal((23, 9, 23))
+        )
+        assert peak_bytes(lambda: sys_.matvec3(u.cores[1])) < 4.4e6
+
+    @pytest.mark.parametrize("forward", [True, False], ids=["left", "right"])
+    def test_middle_core_environment_step(self, system, forward):
+        ops, f, u, rng = system
+        if forward:
+            env = (rng.standard_normal((24, 2, 24)), rng.standard_normal((24, 8)))
+        else:
+            env = (rng.standard_normal((23, 9, 23)), rng.standard_normal((23, 10)))
+        U = u.cores[1]
+
+        def step():
+            return amen._env_step(env, U, U, ops[1], f.cores[1], forward)
+
+        assert peak_bytes(step) < 5.6e6
 
 
 class TestSerialization:
