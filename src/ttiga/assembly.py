@@ -11,8 +11,8 @@ i < j feeds both K_ij and K_ji, which makes the operator exactly
 symmetric, and each cross's oracle forms only its own entry. Each 1D
 factor is banded with half-bandwidth p, so the terms are contracted into
 band cores (r, n, 2p+1, r') and summed in TT with rounding after each
-addition; the sum is unpacked to dense operator cores once, which leaves K
-exactly banded.
+addition; the sum becomes a :class:`TtMatrix` of those band cores, whose
+constructor zeroes the slots outside the matrix, so K is exactly banded.
 
 Dirichlet data are constant per face. By the B-spline partition of unity
 a face's coefficient layer equals its value, so the boundary lift is an
@@ -33,6 +33,7 @@ from .tensor_train import (
     CrossOracle,
     TtMatrix,
     TtTensor,
+    tt_add,
     tt_cross,
     tt_matvec,
     tt_round,
@@ -214,20 +215,6 @@ def _contract_matrix_core(core, tab: _DirTables, test_deriv: bool, trial_deriv: 
     return B.transpose(2, 0, 1, 3)
 
 
-def _unband(B):
-    """Dense (r, n, n, r') operator core of a band core (r, n, 2p+1, r').
-
-    Band slots that fall outside the matrix are dropped, so the result is
-    exactly banded whatever rounding left in them.
-    """
-    r, n, w, s = B.shape
-    cols = np.arange(n)[:, None] + np.arange(w)[None, :] - w // 2
-    a, m = np.nonzero((cols >= 0) & (cols < n))
-    M = np.zeros((r, n, n, s))
-    M[:, a, cols[a, m], :] = B[:, a, m, :]
-    return M
-
-
 def _contract_vector_core(core, tab: _DirTables):
     """Quadrature-weighted (r, n, r') load core from one grid core."""
     r, nq, s = core.shape
@@ -252,7 +239,7 @@ def assemble_stiffness(
     Six crosses interpolate the distinct metric entries R_ij, i <= j; each
     off-diagonal one is contracted into both K_ij and K_ji, which gives the
     nine terms. The terms are summed in band form, as trains over the fused
-    n*(2p+1) mode, and unpacked to dense operator cores once at the end.
+    n*(2p+1) mode, and the sum is wrapped in a :class:`TtMatrix` once.
 
     ``eps_cross`` is the tolerance of the six metric crosses and
     ``eps_round`` that of the rounding after each term is added. Returns
@@ -289,12 +276,9 @@ def assemble_stiffness(
                     for d, (G, tab) in enumerate(zip(res.tensor.cores, disc.tables))
                 ]
             )
-            K = term if K is None else tt_round(K + term, eps_round)
-    cores = [
-        _unband(G.reshape(G.shape[0], n, -1, G.shape[2]))
-        for G, n in zip(K.cores, disc.mode_sizes)
-    ]
-    return TtMatrix(cores), info
+            K = term if K is None else tt_round(tt_add(K, term), eps_round)
+    bands = zip(K.cores, disc.mode_sizes)
+    return TtMatrix([G.reshape(G.shape[0], n, -1, G.shape[2]) for G, n in bands]), info
 
 
 def assemble_load(
@@ -406,7 +390,9 @@ def _restrict_tensor(t: TtTensor, slices) -> TtTensor:
 
 
 def _restrict_matrix(K: TtMatrix, slices) -> TtMatrix:
-    return TtMatrix([G[:, s, s, :] for G, s in zip(K.cores, slices)])
+    """Interior rows of each band core; slot t still couples row i with
+    column i + t - h, and TtMatrix zeroes the slots whose column left."""
+    return TtMatrix([G[:, s] for G, s in zip(K.cores, slices)])
 
 
 def _lift_tensor(bc: BoundarySpec, sizes) -> TtTensor:

@@ -140,7 +140,7 @@ def load_solve_file(path) -> tuple[list, Path, int]:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     _reject_unknown(doc, _SOLVE_FILE_KEYS, "experiment file")
     if "runs" not in doc or not isinstance(doc["runs"], list) or not doc["runs"]:
@@ -275,7 +275,7 @@ def load_bench_file(path) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     _reject_unknown(doc, _BENCH_FILE_KEYS, "bench file")
     doc.setdefault("output_dir", ".")
@@ -458,7 +458,30 @@ def _check_report(doc: dict):
             raise ConfigError(f"{key} must be a number or null")
 
 
-def _check_csv(text: str):
+# every column after the run's geometry, p and elems holds a number
+_NUMBER_COLUMNS = {"dofs": int} | dict.fromkeys(CSV_COLUMNS[4:], float)
+
+
+def _number(cast, text: str, where: str):
+    try:
+        cast(text)
+    except ValueError:
+        raise ConfigError(f"{where}: {text!r} is not a number") from None
+
+
+def _read_text(path: Path) -> str:
+    """The file as UTF-8 text; a byte that does not decode is named by its
+    line and column."""
+    raw = path.read_bytes()
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        col = exc.start - raw.rfind(b"\n", 0, exc.start)
+        raise ConfigError(f"{path}: line {line}, column {col}: not UTF-8 text") from None
+
+
+def _check_csv(text: str, path: Path):
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None:
@@ -469,21 +492,20 @@ def _check_csv(text: str):
         raise ConfigError(f"unexpected CSV header {header}")
     for row in reader:
         if len(row) != len(header):
-            raise ConfigError("CSV row width mismatch")
+            raise ConfigError(f"{path}: line {reader.line_num}: CSV row width mismatch")
         for col, val in zip(header, row):
-            if col in ("dofs",) and val and "failed" not in row[-1]:
-                int(val)
-            elif col in ("l2_error", "cr_K", "cr_f", "cr_u", "residual") and val:
-                float(val)
+            if col in _NUMBER_COLUMNS and val:
+                where = f"{path}: line {reader.line_num}, column {col}"
+                _number(_NUMBER_COLUMNS[col], val, where)
 
 
-def _check_field(text: str):
+def _check_field(text: str, path: Path):
     for ln, line in enumerate(text.strip().splitlines(), 1):
         parts = line.split()
         if len(parts) != 4:
-            raise ConfigError(f"field dump line {ln} does not have 4 columns")
-        for p in parts:
-            float(p)
+            raise ConfigError(f"{path}: line {ln}: field dump needs 4 columns")
+        for col, part in enumerate(parts, 1):
+            _number(float, part, f"{path}: line {ln}, column {col}")
 
 
 def _load_container(path):
@@ -498,17 +520,18 @@ def check_artifact(path) -> str:
     """Validate one artifact; returns its detected kind or raises ConfigError."""
     path = Path(path)
     if path.suffix == ".csv":
-        _check_csv(path.read_text())
+        _check_csv(_read_text(path), path)
         return "csv"
     if path.suffix == ".tt":
         _load_container(path)
         return "tt-container"
     if path.suffix == ".txt":
-        _check_field(path.read_text())
+        _check_field(_read_text(path), path)
         return "field-dump"
     if path.suffix == ".json":
+        text = _read_text(path)
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON: {exc}") from exc
         if isinstance(doc, dict) and "runs" in doc:
@@ -516,7 +539,7 @@ def check_artifact(path) -> str:
             return "experiment-config"
         if isinstance(doc, dict) and "control_points" in doc:
             try:
-                patch_from_json(path.read_text())
+                patch_from_json(text)
             except (GeometryError, SplineError, KeyError) as exc:
                 raise ConfigError(f"invalid patch JSON: {exc}") from exc
             return "geometry-patch"

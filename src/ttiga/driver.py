@@ -35,7 +35,7 @@ from .assembly import (
     _BLOCK,
     _lift_tensor,
 )
-from .geometry import GeometryPatch, GridEvaluator, make_geometry
+from .geometry import GeometryPatch, GridEvaluator, _is_finite_real, make_geometry
 from .splines import Basis1D, KnotVector, eval_basis, tabulate
 from .tensor_train import (
     AmenOptions,
@@ -196,8 +196,8 @@ class SolveConfig:
             ("eps_solve", self.eps_solve),
             ("eps_round", self.eps_round),
         ):
-            if not 0.0 < val < 1.0:
-                raise DriverError(f"{name} must lie in (0, 1), got {val}")
+            if not (_is_finite_real(val) and 0.0 < val < 1.0):
+                raise DriverError(f"{name} must lie in (0, 1), got {val!r}")
         if not isinstance(self.geometry_params, dict):
             raise DriverError(
                 f"geometry_params must be an object, got {self.geometry_params!r}"
@@ -383,7 +383,7 @@ def cache_dir() -> Path | None:
 
 
 # bump when assembly changes what an entry holds, so stale entries miss
-CACHE_FORMAT = 5
+CACHE_FORMAT = 6
 
 
 def cache_key(cfg: SolveConfig, what: str) -> str:

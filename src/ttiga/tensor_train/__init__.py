@@ -7,7 +7,6 @@ from .core import (
     TtTensor,
     tt_add,
     tt_from_full,
-    tt_matrix_from_full,
     tt_matvec,
     tt_norm,
     tt_round,
@@ -35,7 +34,6 @@ __all__ = [
     "tt_cross",
     "tt_from_full",
     "tt_info",
-    "tt_matrix_from_full",
     "tt_matvec",
     "tt_norm",
     "tt_round",

@@ -31,9 +31,9 @@ M_k banded (half-bandwidth p), and the core's shape alone picks its solver:
 A half-sweep starts at the core where the previous one ended, with the same
 interfaces and right-hand side, so that core's solution is reused.
 
-Operator cores are held as their 2p + 1 diagonals, which is where the
-banded 1D factors of the IGA operator put them (Bunger, Dolgov & Stoll, SIAM
-J. Sci. Comput. 42, 2020). Every contraction with a core (the local matvec,
+Operator cores arrive as the band cores of :class:`TtMatrix`, their 2p + 1
+diagonals, and are only transposed into the layouts the kernels read. Every
+contraction with a core (the local matvec,
 the interface updates and the certificate) runs over the band one block of
 mode rows at a time, as GEMMs over the ranks, so no step holds a whole
 (rank, n, rank, rank) intermediate. The certificate ||f - A u|| is streamed
@@ -98,31 +98,25 @@ class AmenResult:
 
 
 class _OpCore:
-    """One operator core held as its band, the layouts the band kernel reads.
+    """One operator band core, in the layouts the band kernel reads.
 
-    ``fwd[i, a, t, b]`` is entry (i, i + t - hb) of the dense core's slice
-    (a, b), for t = 0..2 hb; slots whose column falls outside the matrix are
-    zero. ``hb`` is the largest |i - j| of a nonzero entry, the spline
+    ``fwd[i, a, t, b]`` is the :class:`TtMatrix` core's slot [a, i, t, b],
+    which couples row i with column i + t - hb; slots whose column falls
+    outside the matrix are zero. ``hb`` is half the band width, the spline
     degree for stiffness cores. ``rev`` holds the same band with the rank
     axes swapped, ``rev[i, b, t, a]``, for contractions over the right
     rank. Every contraction with the core goes through
     :func:`_band_blocks`, so its cost and memory follow the band.
     """
 
-    def __init__(self, M: np.ndarray):
-        a, n, _, b = M.shape
-        rows = np.arange(n)
-        dist = np.abs(rows[:, None] - rows[None, :])
-        self.hb = int(np.max(dist, where=np.any(M, axis=(0, 3)), initial=0))
-        cols = rows[:, None] + np.arange(-self.hb, self.hb + 1)
-        inside = (cols >= 0) & (cols < n)
-        band = M[:, rows[:, None], np.clip(cols, 0, n - 1), :] * inside[:, :, None]
-        self.n = n
-        self.fwd = np.ascontiguousarray(band.transpose(1, 0, 2, 3))
-        self.rev = np.ascontiguousarray(band.transpose(1, 3, 2, 0))
+    def __init__(self, B: np.ndarray):
+        self.n, self.hb = B.shape[1], B.shape[2] // 2
+        self.fwd = np.ascontiguousarray(B.transpose(1, 0, 2, 3))
+        self.rev = np.ascontiguousarray(B.transpose(1, 3, 2, 0))
 
     def lower(self, m: int) -> np.ndarray:
-        """Diagonal m below the main one: D[j, a, b] = M[a, j + m, j, b]."""
+        """Diagonal m below the main one: D[j, a, b] is entry (j + m, j) of
+        the core's slice (a, b)."""
         return self.fwd[m:, :, self.hb - m, :]
 
 
@@ -512,9 +506,7 @@ def amen_solve(
     exact; non-convergence after ``max_sweeps`` is reported through the
     ``converged`` flag rather than an exception.
     """
-    if A.row_sizes != A.col_sizes:
-        raise ValueError("operator must be square in the TT-matrix sense")
-    if A.col_sizes != f.mode_sizes:
+    if A.row_sizes != f.mode_sizes:
         raise ValueError("operator and right-hand side sizes differ")
     if eps <= 0:
         raise ValueError("eps must be positive")

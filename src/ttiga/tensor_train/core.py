@@ -1,8 +1,10 @@
 """Tensor-train vectors and operators with exact arithmetic and rounding.
 
 A :class:`TtTensor` stores a chain of order-3 cores ``G_k`` of shape
-``(r_{k-1}, n_k, r_k)`` with boundary ranks 1; a :class:`TtMatrix` stores
-order-4 cores ``(r_{k-1}, n_k, m_k, r_k)``. Addition concatenates cores
+``(r_{k-1}, n_k, r_k)`` with boundary ranks 1; a :class:`TtMatrix` is a
+square operator that stores each core as its band, ``(r_{k-1}, n_k, 2 h_k +
+1, r_k)``, the layout of the banded 1D factors of the IGA operator (Bunger,
+Dolgov & Stoll, SIAM J. Sci. Comput. 42, 2020). Addition concatenates cores
 block-diagonally (ranks add), operator application contracts core-wise
 (ranks multiply), and :func:`tt_round` recompresses via an orthogonalization
 sweep followed by truncated SVDs per bond (Oseledets, SIAM J. Sci. Comput.
@@ -26,7 +28,6 @@ __all__ = [
     "tt_matvec",
     "tt_round",
     "tt_from_full",
-    "tt_matrix_from_full",
 ]
 
 
@@ -75,9 +76,6 @@ class TtTensor:
     def n_params(self) -> int:
         return int(sum(G.size for G in self.cores))
 
-    def copy(self) -> "TtTensor":
-        return TtTensor([G.copy() for G in self.cores])
-
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -122,26 +120,35 @@ class TtTensor:
             v = np.einsum("nr,rns->ns", v, self.cores[k][:, idx[:, k], :])
         return v[:, 0]
 
-    # -- arithmetic sugar ---------------------------------------------------
 
-    def __add__(self, other):
-        return tt_add(self, other)
-
-    def __sub__(self, other):
-        return tt_sub(self, other)
-
-    def __mul__(self, c):
-        return tt_scale(self, c)
-
-    __rmul__ = __mul__
+def _band_columns(n: int, width: int):
+    """Column of each band slot, ``cols[i, t] = i + t - width // 2``, and
+    the mask of the slots whose column lies inside 0..n-1."""
+    cols = np.arange(n)[:, None] + np.arange(width) - width // 2
+    return cols, (cols >= 0) & (cols < n)
 
 
 class TtMatrix:
-    """Chain-of-cores representation of a linear operator on a TtTensor."""
+    """Square linear operator on a TtTensor as a chain of band cores.
+
+    Core k has shape ``(r_{k-1}, n_k, 2 h_k + 1, r_k)``: entry ``[:, i, t,
+    :]`` couples row i with column i + t - h_k. The width must be odd. The
+    constructor zeroes, in a copy, the slots whose column falls outside
+    0..n_k - 1, so rounding noise there never reaches the operator.
+    """
 
     def __init__(self, cores):
-        self.cores = [np.ascontiguousarray(G, dtype=float) for G in cores]
-        _check_chain(self.cores, 4)
+        cores = [np.ascontiguousarray(G, dtype=float) for G in cores]
+        _check_chain(cores, 4)
+        for k, G in enumerate(cores):
+            if G.shape[2] % 2 == 0:
+                raise TtShapeError(f"core {k} has even band width {G.shape[2]}")
+            outside = ~_band_columns(G.shape[1], G.shape[2])[1]
+            if G[:, outside].any():
+                G = G.copy()
+                G[:, outside] = 0.0
+                cores[k] = G
+        self.cores = cores
 
     @property
     def d(self) -> int:
@@ -152,7 +159,7 @@ class TtMatrix:
         return tuple(G.shape[1] for G in self.cores)
 
     @property
-    def col_sizes(self) -> tuple:
+    def band_widths(self) -> tuple:
         return tuple(G.shape[2] for G in self.cores)
 
     @property
@@ -163,54 +170,46 @@ class TtMatrix:
     def n_params(self) -> int:
         return int(sum(G.size for G in self.cores))
 
-    def copy(self) -> "TtMatrix":
-        return TtMatrix([G.copy() for G in self.cores])
-
     @staticmethod
     def identity(mode_sizes) -> "TtMatrix":
-        return TtMatrix([np.eye(n)[None, :, :, None] for n in mode_sizes])
+        return TtMatrix([np.ones((1, n, 1, 1)) for n in mode_sizes])
 
     @staticmethod
     def rank_one(factors) -> "TtMatrix":
-        """Kronecker product of per-mode matrices as an exact rank-1 train."""
-        return TtMatrix(
-            [np.asarray(A, dtype=float)[None, :, :, None] for A in factors]
-        )
-
-    def transpose(self) -> "TtMatrix":
-        """Core-wise swap of row and column indices."""
-        return TtMatrix([G.transpose(0, 2, 1, 3) for G in self.cores])
+        """Kronecker product of dense square per-mode matrices as an exact
+        rank-1 train; each factor is packed into the narrowest band that
+        holds its nonzero entries."""
+        cores = []
+        for A in factors:
+            A = np.asarray(A, dtype=float)
+            n = A.shape[0]
+            if A.shape != (n, n):
+                raise TtShapeError(f"factor of shape {A.shape} is not square")
+            dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+            h = int(np.max(dist, where=A != 0, initial=0))
+            cols, inside = _band_columns(n, 2 * h + 1)
+            band = A[np.arange(n)[:, None], np.clip(cols, 0, n - 1)] * inside
+            cores.append(band[None, :, :, None])
+        return TtMatrix(cores)
 
     def full(self) -> np.ndarray:
-        """Densify to a (prod rows) x (prod cols) matrix. Small sizes only."""
-        out = self.cores[0][0]  # (n_1, m_1, r_1)
-        for G in self.cores[1:]:
-            out = np.tensordot(out, G, axes=([out.ndim - 1], [0]))
-        out = out[..., 0]
-        d = self.d
-        rows = self.row_sizes
-        cols = self.col_sizes
-        perm = [2 * k for k in range(d)] + [2 * k + 1 for k in range(d)]
-        return out.transpose(perm).reshape(int(np.prod(rows)), int(np.prod(cols)))
-
-    def __add__(self, other):
-        return tt_add(self, other)
-
-    def __sub__(self, other):
-        return tt_sub(self, other)
-
-    def __mul__(self, c):
-        return tt_scale(self, c)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, x):
-        return tt_matvec(self, x)
+        """Densify to an N x N matrix, N = prod(row_sizes). Small sizes only."""
+        dense = []
+        for G in self.cores:
+            r, n, w, s = G.shape
+            cols, inside = _band_columns(n, w)
+            i, t = np.nonzero(inside)
+            D = np.zeros((r, n, n, s))
+            D[:, i, cols[i, t], :] = G[:, i, t, :]
+            dense.append(D.reshape(r, n * n, s))
+        out = TtTensor(dense).full().reshape([m for n in self.row_sizes for m in (n, n)])
+        N, d = int(np.prod(self.row_sizes)), self.d
+        return out.transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)]).reshape(N, N)
 
 
 # ---------------------------------------------------------------------------
-# shared helpers: matrix cores are handled through their vector view, where
-# the (row, col) mode pair is fused into one mode of size n*m.
+# shared helpers: operator cores are handled through their vector view, where
+# the (row, band slot) mode pair is fused into one mode of size n*(2h+1).
 
 def _to_vector_view(t):
     if isinstance(t, TtMatrix):
@@ -218,17 +217,17 @@ def _to_vector_view(t):
             G.reshape(G.shape[0], G.shape[1] * G.shape[2], G.shape[3])
             for G in t.cores
         ]
-        return cores, ("matrix", t.row_sizes, t.col_sizes)
+        return cores, ("matrix", t.row_sizes, t.band_widths)
     return [G for G in t.cores], ("tensor",)
 
 
 def _from_vector_view(cores, tag):
     if tag[0] == "matrix":
-        _, rows, cols = tag
+        _, rows, widths = tag
         return TtMatrix(
             [
-                G.reshape(G.shape[0], n, m, G.shape[2])
-                for G, n, m in zip(cores, rows, cols)
+                G.reshape(G.shape[0], n, w, G.shape[2])
+                for G, n, w in zip(cores, rows, widths)
             ]
         )
     return TtTensor(cores)
@@ -238,15 +237,25 @@ def _same_kind(a, b):
     if isinstance(a, TtMatrix) != isinstance(b, TtMatrix):
         raise TtShapeError("cannot combine a TT tensor with a TT operator")
     if isinstance(a, TtMatrix):
-        if a.row_sizes != b.row_sizes or a.col_sizes != b.col_sizes:
+        if a.row_sizes != b.row_sizes:
             raise TtShapeError("operator mode sizes differ")
     elif a.mode_sizes != b.mode_sizes:
         raise TtShapeError("tensor mode sizes differ")
 
 
 def tt_add(a, b):
-    """Exact sum by block-diagonal core concatenation (ranks add)."""
+    """Exact sum by block-diagonal core concatenation (ranks add); the
+    narrower of two operator bands is padded with zero diagonals."""
     _same_kind(a, b)
+    if isinstance(a, TtMatrix):
+        w = [max(wa, wb) for wa, wb in zip(a.band_widths, b.band_widths)]
+        a, b = (
+            TtMatrix([
+                np.pad(G, ((0, 0), (0, 0), ((wk - G.shape[2]) // 2,) * 2, (0, 0)))
+                for G, wk in zip(t.cores, w)
+            ])
+            for t in (a, b)
+        )
     ca, tag = _to_vector_view(a)
     cb, _ = _to_vector_view(b)
     d = len(ca)
@@ -310,14 +319,22 @@ def tt_norm(a) -> float:
 
 
 def tt_matvec(A: TtMatrix, x: TtTensor) -> TtTensor:
-    """Exact operator application; output ranks are products of input ranks."""
-    if A.col_sizes != x.mode_sizes:
+    """Exact operator application; output ranks are products of input ranks.
+
+    Each band core is contracted against a sliding window of x's core padded
+    by h zero rows per side: window slot t of row i is x's row i + t - h.
+    """
+    if A.row_sizes != x.mode_sizes:
         raise TtShapeError(
-            f"operator column sizes {A.col_sizes} != vector sizes {x.mode_sizes}"
+            f"operator sizes {A.row_sizes} != vector sizes {x.mode_sizes}"
         )
     out = []
     for M, G in zip(A.cores, x.cores):
-        Y = np.einsum("aijb,cjd->acibd", M, G, optimize=True)
+        h = M.shape[2] // 2
+        Gp = np.pad(G, ((0, 0), (h, h), (0, 0)))
+        # window[c, i, e, t] = Gp[c, i + t, e]
+        window = np.lib.stride_tricks.sliding_window_view(Gp, M.shape[2], axis=1)
+        Y = np.einsum("aitb,ciet->acibe", M, window, optimize=True)
         s = Y.shape
         out.append(Y.reshape(s[0] * s[1], s[2], s[3] * s[4]))
     return TtTensor(out)
@@ -385,22 +402,3 @@ def tt_from_full(X: np.ndarray, eps: float = 1e-14) -> TtTensor:
         r = keep
     cores.append(C.reshape(r, sizes[-1], 1))
     return TtTensor(cores)
-
-
-def tt_matrix_from_full(X: np.ndarray, eps: float = 1e-14) -> TtMatrix:
-    """TT-SVD of a dense operator given as a (n1, m1, n2, m2, ...) array."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim % 2:
-        raise TtShapeError("operator array needs paired row/col axes")
-    d = X.ndim // 2
-    rows = X.shape[0::2]
-    cols = X.shape[1::2]
-    fused = tt_from_full(
-        X.reshape([rows[k] * cols[k] for k in range(d)]), eps
-    )
-    return TtMatrix(
-        [
-            G.reshape(G.shape[0], rows[k], cols[k], G.shape[2])
-            for k, G in enumerate(fused.cores)
-        ]
-    )

@@ -5,14 +5,18 @@ Layout (little-endian throughout):
 ========  =======================================================
 bytes     content
 ========  =======================================================
-0:4       magic ``b"TTC2"``
+0:4       magic ``b"TTC3"``
 4         kind: ``0`` tensor, ``1`` operator (uint8)
 5         order d (uint8)
-6:...     d row mode sizes (uint32); operators add d col sizes
+6:...     d mode sizes (uint32); operators add d odd band widths
 ...       d+1 bond ranks (uint32)
-...       core payloads, ascending core order, float64 C-order
+...       core payloads, ascending core order, float64 C-order;
+          operator cores are bands of shape (r, n, 2h+1, r')
 -4:       CRC-32 (``zlib.crc32``, uint32) of every byte before it
 ========  =======================================================
+
+``TTC2`` files, whose operator cores were dense (r, n, n, r'), are not
+read: a dense core with odd n would parse as a band.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .core import TtMatrix, TtTensor
 
 __all__ = ["save_tt", "load_tt", "tt_info"]
 
-_MAGIC = b"TTC2"
+_MAGIC = b"TTC3"
 
 
 def _atomic_write(path, data) -> None:
@@ -64,7 +68,7 @@ def save_tt(path, t) -> None:
     header = [_MAGIC, struct.pack("<BB", 1 if is_mat else 0, d)]
     if is_mat:
         header.append(struct.pack(f"<{d}I", *t.row_sizes))
-        header.append(struct.pack(f"<{d}I", *t.col_sizes))
+        header.append(struct.pack(f"<{d}I", *t.band_widths))
     else:
         header.append(struct.pack(f"<{d}I", *t.mode_sizes))
     header.append(struct.pack(f"<{d + 1}I", *t.ranks))
@@ -81,7 +85,7 @@ def save_tt(path, t) -> None:
 
 
 def load_tt(path):
-    """Read a container written by :func:`save_tt`."""
+    """Read a container written by :func:`save_tt`; ValueError if malformed."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _MAGIC:
@@ -91,9 +95,9 @@ def load_tt(path):
         off = 6
         rows = struct.unpack_from(f"<{d}I", raw, off)
         off += 4 * d
-        cols = None
+        widths = None
         if kind == 1:
-            cols = struct.unpack_from(f"<{d}I", raw, off)
+            widths = struct.unpack_from(f"<{d}I", raw, off)
             off += 4 * d
         ranks = struct.unpack_from(f"<{d + 1}I", raw, off)
         off += 4 * (d + 1)
@@ -102,7 +106,7 @@ def load_tt(path):
     if kind not in (0, 1):
         raise ValueError(f"bad TT container kind {kind} (0 tensor, 1 operator)")
     shapes = [
-        (ranks[k], rows[k]) + ((cols[k],) if cols else ()) + (ranks[k + 1],)
+        (ranks[k], rows[k]) + ((widths[k],) if widths else ()) + (ranks[k + 1],)
         for k in range(d)
     ]
     counts = [math.prod(shape) for shape in shapes]
@@ -123,17 +127,13 @@ def load_tt(path):
 def tt_info(t) -> dict:
     """Rank/size summary used by the CLI dump command."""
     is_mat = isinstance(t, TtMatrix)
-    if is_mat:
-        full = int(np.prod(t.row_sizes, dtype=np.int64)) * int(
-            np.prod(t.col_sizes, dtype=np.int64)
-        )
-    else:
-        full = int(np.prod(t.mode_sizes, dtype=np.int64))
+    sizes = t.row_sizes if is_mat else t.mode_sizes
+    full = int(np.prod(sizes, dtype=np.int64)) ** (2 if is_mat else 1)
     return {
         "kind": "operator" if is_mat else "tensor",
         "d": t.d,
-        "mode_sizes": list(t.row_sizes) if is_mat else list(t.mode_sizes),
-        "col_sizes": list(t.col_sizes) if is_mat else None,
+        "mode_sizes": list(sizes),
+        "band_widths": list(t.band_widths) if is_mat else None,
         "ranks": list(t.ranks),
         "n_params": t.n_params,
         "full_entries": full,

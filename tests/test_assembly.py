@@ -9,7 +9,6 @@ from ttiga.assembly import (
     BoundarySpec,
     FaceCondition,
     _contract_matrix_core,
-    _unband,
     apply_dirichlet,
     assemble_load,
     assemble_stiffness,
@@ -21,7 +20,6 @@ from ttiga.splines import Basis1D, KnotVector
 from ttiga.tensor_train import (
     TtMatrix,
     TtTensor,
-    amen,
     tt_cross,
     tt_matvec,
     tt_norm,
@@ -29,6 +27,7 @@ from ttiga.tensor_train import (
 from ttiga.driver import SolveConfig, discretize
 
 from test_geometry import scaling_patch
+from test_tensor_train import band_outside
 
 
 def cube_disc(elements=1, degree=1):
@@ -160,8 +159,7 @@ class TestStiffness:
             patch, disc, 1e-11, 1e-11, rng=np.random.default_rng(7)
         )
         dense = K.full()
-        dense_t = K.transpose().full()
-        rel = np.linalg.norm(dense - dense_t) / np.linalg.norm(dense)
+        rel = np.linalg.norm(dense - dense.T) / np.linalg.norm(dense)
         assert rel <= 1e-10
 
     def test_constants_in_kernel(self):
@@ -194,17 +192,23 @@ class TestStiffness:
         [("quarter_torus", 2, 4), ("hyperboloid", 2, 8), ("lshape", 1, 8)],
     )
     def test_cores_exactly_banded(self, name, degree, elements):
-        """Rounding leaves no fill outside the spline band: every core is
-        zero for |i - j| > p, and AMEn's operator cores read the band."""
+        """K and its Dirichlet restriction are band cores of width 2p + 1
+        whose outermost diagonals are used and whose slots outside the
+        matrix are exactly zero, whatever rounding or slicing left there."""
         patch, disc = disc_for(name, degree, elements)
         K, _ = assemble_stiffness(
             patch, disc, 1e-10, 1e-10, rng=np.random.default_rng(25)
         )
-        for G, basis in zip(K.cores, disc.solution_bases):
-            p, n = basis.degree, G.shape[1]
-            far = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > p
-            assert np.all(G[:, far, :] == 0.0)
-            assert amen._OpCore(G).hb == p
+        sizes = disc.mode_sizes
+        system = apply_dirichlet(
+            K, TtTensor.ones(sizes), BoundarySpec.all_dirichlet(0.0), disc
+        )
+        for op in (K, system.K):
+            for G, basis in zip(op.cores, disc.solution_bases):
+                p = basis.degree
+                assert G.shape[2] == 2 * p + 1
+                assert G[:, :, 0].any() and G[:, :, -1].any()
+                assert np.all(G[:, band_outside(G)] == 0.0)
 
     def test_six_crosses(self, monkeypatch):
         """R is symmetric: R_ij and R_ji share one cross."""
@@ -235,8 +239,9 @@ class TestStiffness:
 def test_band_core_matches_dense_scatter(
     degree, breaks, extra_gauss, ranks, derivs, seed
 ):
-    """The unpacked band core equals the dense scatter of the same
-    quadrature contributions into the (n, n) window pairs."""
+    """Each rank slice of the band core, as a TtMatrix, densifies to the
+    dense scatter of the same quadrature contributions into the (n, n)
+    window pairs."""
     knots = np.r_[[0.0] * (degree + 1), sorted(breaks), [1.0] * (degree + 1)]
     basis = Basis1D(KnotVector(knots, degree), None)
     tab = build_quadrature((basis,) * 3, degree + 1 + extra_gauss).tables[0]
@@ -252,8 +257,13 @@ def test_band_core_matches_dense_scatter(
                 dense[:, start + a, start + b] += (
                     tab.weights[q] * X[q, a] * Y[q, b] * core[:, q, :]
                 )
-    got = _unband(_contract_matrix_core(core, tab, *derivs))
-    assert np.allclose(got, dense, rtol=1e-13, atol=1e-14 * np.abs(dense).max())
+    band = _contract_matrix_core(core, tab, *derivs)
+    for a in range(ranks[0]):
+        for b in range(ranks[1]):
+            got = TtMatrix([band[a: a + 1, :, :, b: b + 1]]).full()
+            assert np.allclose(
+                got, dense[a, :, :, b], rtol=1e-13, atol=1e-14 * np.abs(dense).max()
+            )
 
 
 class TestLoad:

@@ -12,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ttiga.driver as driver
+from ttiga import cli
 from ttiga.cli import check_artifact, main
+
+from test_tensor_train import ttc2_bytes
 
 CUBE_RUN = {
     "geometry": "unit_cube",
@@ -227,7 +230,9 @@ class TestSolveCommand:
         [("n_gauss", 1), ("n_gauss", [2, 2, 1]), ("n_gauss", [2, 2]),
          ("n_gauss", "3"), ("n_gauss", 2.5), ("rank_cap", 0), ("rank_cap", 1.5),
          ("rank_cap", None), ("degree", "x"), ("degree", 1.5), ("degree", True),
-         ("elements", [2, 2]), ("elements", 2.0), ("geometry_params", 5)],
+         ("elements", [2, 2]), ("elements", 2.0), ("geometry_params", 5)]
+        + [(eps, value) for eps in ("eps_cross", "eps_solve", "eps_round")
+           for value in ("1e-8", None, [1], True)],
     )
     def test_bad_run_value_rejected(self, tmp_path, capsys, field, value):
         cfg = write_config(
@@ -519,7 +524,9 @@ class TestCheckCommand:
         path.write_text(json.dumps(doc))
         assert main(["check", str(path)]) == 1
 
-    @pytest.mark.parametrize("damage", ["bad_magic", "truncated_cores"])
+    @pytest.mark.parametrize(
+        "damage", ["bad_magic", "truncated_cores", "ttc2_tensor", "ttc2_operator"]
+    )
     @pytest.mark.parametrize("command", ["check", "tt-info"])
     def test_corrupt_container_rejected(self, tmp_path, capsys, damage, command):
         from ttiga.tensor_train import TtTensor, save_tt
@@ -527,6 +534,8 @@ class TestCheckCommand:
         path = tmp_path / "bad.tt"
         if damage == "bad_magic":
             path.write_text("garbage")
+        elif damage.startswith("ttc2"):
+            path.write_bytes(ttc2_bytes(damage[5:]))
         else:
             save_tt(path, TtTensor.ones((4, 5, 6)))
             path.write_bytes(path.read_bytes()[:-8])
@@ -550,7 +559,7 @@ class TestCheckCommand:
             t = TtTensor.random((5, 6, 7), (3, 4), rng)
         else:
             t = TtMatrix([rng.standard_normal(s) for s in
-                          ((1, 3, 4, 2), (2, 5, 5, 3), (3, 4, 3, 1))])
+                          ((1, 3, 3, 2), (2, 5, 5, 3), (3, 4, 1, 1))])
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "damaged.tt"
             save_tt(path, t)
@@ -572,3 +581,30 @@ class TestCheckCommand:
         bad = tmp_path / "x.csv"
         bad.write_text("a,b,c\n1,2,3\n")
         assert main(["check", str(bad)]) == 1
+
+    @pytest.mark.parametrize(
+        "name,content,where",
+        [
+            ("dofs.csv", {"dofs": "many"}, "line 2, column dofs"),
+            ("cr.csv", {"cr_K": "1.5e"}, "line 2, column cr_K"),
+            ("time.csv", {"t_solve_s": "fast"}, "line 2, column t_solve_s"),
+            ("field.txt", b"0 0 0 1\n0 0.5 zero 2\n", "line 2, column 3"),
+            ("latin1.csv", b"geometry,p\nr\xe9ng,2\n", "line 2, column 2"),
+        ],
+        ids=["int-cell", "float-cell", "time-cell", "field-column", "not-utf8"],
+    )
+    def test_malformed_artifact_named(self, tmp_path, capsys, name, content, where):
+        """A bad cell, field column or byte exits 1 with one error line that
+        names the file, the line and the column, never a traceback."""
+        path = tmp_path / name
+        if isinstance(content, dict):
+            row = dict(zip(cli.CSV_COLUMNS, ["ring", "2", "4", "216", "0.1", "3",
+                                             "2", "2", "0.5", "0.5", "1e-9"]))
+            row.update(content)
+            path.write_text(",".join(cli.CSV_COLUMNS) + "\n" + ",".join(row.values()) + "\n")
+        else:
+            path.write_bytes(content)
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {where}")
+        assert err.count("\n") == 1

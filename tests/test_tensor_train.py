@@ -1,5 +1,7 @@
 import logging
+import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from ttiga.tensor_train import (
     tt_cross,
     tt_from_full,
     tt_info,
-    tt_matrix_from_full,
     tt_matvec,
     tt_norm,
     tt_round,
@@ -39,6 +40,31 @@ def laplacian_tt(n: int) -> TtMatrix:
         TtMatrix.rank_one([Id, Id, L]),
     )
     return tt_round(A, 1e-14)
+
+
+def band_outside(G):
+    """Mask of the slots of band core ``G`` whose column falls outside the
+    matrix."""
+    n, w = G.shape[1:3]
+    cols = np.arange(n)[:, None] + np.arange(w) - w // 2
+    return (cols < 0) | (cols >= n)
+
+
+def band_of(M, hb):
+    """Band core (a, n, 2 hb + 1, b) of the dense core M (a, n, n, b), slot
+    by slot: slot t of row i holds column i + t - hb."""
+    a, n, _, b = M.shape
+    B = np.zeros((a, n, 2 * hb + 1, b))
+    for i in range(n):
+        for t in range(2 * hb + 1):
+            if 0 <= i + t - hb < n:
+                B[:, i, t, :] = M[:, i, i + t - hb, :]
+    return B
+
+
+def op_core(M, hb):
+    """AMEn's view of the dense core M of half-bandwidth hb."""
+    return amen._OpCore(band_of(M, hb))
 
 
 class TestArithmetic:
@@ -61,7 +87,8 @@ class TestArithmetic:
         if kind == "tensor":
             a = TtTensor.random((4, 5, 6), (2, 3), rng)
         else:
-            a = tt_matrix_from_full(rng.standard_normal((3, 2, 4, 3, 2, 2)))
+            a = TtMatrix([rng.standard_normal(s) for s in
+                          ((1, 3, 3, 2), (2, 4, 1, 3), (3, 2, 3, 1))])
         before = [G.copy() for G in a.cores]
         s = tt_scale(a, -2.5)
         assert np.allclose(s.full(), -2.5 * a.full(), atol=1e-13)
@@ -90,16 +117,28 @@ class TestArithmetic:
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(4)
-        A = TtMatrix(
-            [
-                rng.standard_normal((1, 4, 4, 3)),
-                rng.standard_normal((3, 5, 5, 2)),
-                rng.standard_normal((2, 6, 6, 1)),
-            ]
-        )
-        x = TtTensor.random((4, 5, 6), (2, 2), rng)
-        ref = A.full() @ x.full().ravel()
-        assert np.allclose(tt_matvec(A, x).full().ravel(), ref, atol=1e-10)
+        sizes, ranks = (4, 5, 6), (1, 3, 2, 1)
+        x = TtTensor.random(sizes, (2, 2), rng)
+        # half-bandwidths 0 (diagonal), 1, and n - 1 (every column)
+        for h in (0, 1, None):
+            A = TtMatrix(
+                [
+                    rng.standard_normal(
+                        (ranks[k], n, 2 * (n - 1 if h is None else h) + 1, ranks[k + 1])
+                    )
+                    for k, n in enumerate(sizes)
+                ]
+            )
+            ref = A.full() @ x.full().ravel()
+            assert np.allclose(tt_matvec(A, x).full().ravel(), ref, atol=1e-10)
+
+    def test_add_pads_the_narrower_band(self):
+        rng = np.random.default_rng(5)
+        a = TtMatrix([rng.standard_normal(s) for s in ((1, 5, 1, 2), (2, 6, 5, 1))])
+        b = TtMatrix([rng.standard_normal(s) for s in ((1, 5, 3, 3), (3, 6, 3, 1))])
+        c = tt_add(a, b)
+        assert c.band_widths == (3, 5)
+        assert np.abs(c.full() - (a.full() + b.full())).max() < 1e-13
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(5)
@@ -110,16 +149,19 @@ class TestArithmetic:
         with pytest.raises(TtShapeError):
             tt_matvec(TtMatrix.identity((4, 4, 5)), a)
 
-    def test_transpose(self):
-        rng = np.random.default_rng(6)
-        A = TtMatrix(
-            [
-                rng.standard_normal((1, 3, 3, 2)),
-                rng.standard_normal((2, 4, 4, 2)),
-                rng.standard_normal((2, 3, 3, 1)),
-            ]
-        )
-        assert np.allclose(A.transpose().full(), A.full().T, atol=1e-13)
+    def test_even_band_width_rejected(self):
+        with pytest.raises(TtShapeError, match="even band width"):
+            TtMatrix([np.ones((1, 4, 2, 1))])
+
+    def test_slots_outside_the_matrix_zeroed_in_a_copy(self):
+        G = np.random.default_rng(6).standard_normal((1, 4, 5, 1))
+        before = G.copy()
+        A = TtMatrix([G])
+        assert np.array_equal(G, before)
+        assert not band_outside(A.cores[0]).all() and band_outside(A.cores[0]).any()
+        assert np.all(A.cores[0][:, band_outside(A.cores[0])] == 0.0)
+        inside = ~band_outside(G)
+        assert np.array_equal(A.cores[0][:, inside], G[:, inside])
 
 
 class TestRounding:
@@ -156,12 +198,18 @@ class TestRounding:
             assert np.abs(tt_from_full(X).full() - X).max() < 1e-12 * np.linalg.norm(X)
 
     def test_matrix_round_trip(self):
+        """Rounding a band operator keeps its band widths and the zeros
+        outside the matrix, and the operator within eps."""
         rng = np.random.default_rng(10)
-        X = rng.standard_normal((3, 3, 4, 4, 2, 2))
-        M = tt_matrix_from_full(X, 1e-13)
-        dense = M.full()
-        ref = X.transpose(0, 2, 4, 1, 3, 5).reshape(24, 24)
-        assert np.abs(dense - ref).max() < 1e-11
+        A = TtMatrix([rng.standard_normal(s) for s in
+                      ((1, 5, 5, 3), (3, 4, 3, 4), (4, 6, 7, 1))])
+        r = tt_round(tt_add(A, tt_scale(A, 0.5)), 1e-12)
+        assert r.band_widths == A.band_widths
+        assert r.ranks == A.ranks
+        for G in r.cores:
+            assert np.all(G[:, band_outside(G)] == 0.0)
+        ref = 1.5 * A.full()
+        assert np.linalg.norm(r.full() - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @settings(max_examples=25, deadline=None)
@@ -674,7 +722,7 @@ class TestLocalSolve:
     def test_banded_matches_dense(self, r0, a, b, r1):
         rng = np.random.default_rng(50 + r0 + 3 * r1 + 7 * a)
         phiL, M, phiR, B = random_local_system(r0, a, 9, b, r1, 2, rng)
-        sys_ = amen._LocalSystem(phiL, amen._OpCore(M), phiR)
+        sys_ = amen._LocalSystem(phiL, op_core(M, 2), phiR)
         rhs3 = rng.standard_normal(sys_.shape3)
         x3, iters = sys_.solve(rhs3, None, 1e-3)
         assert iters is None
@@ -694,7 +742,7 @@ class TestLocalSolve:
             return orig(*args, **kwargs)
 
         monkeypatch.setattr(amen.sla, "solve_banded", counting)
-        sys_ = amen._LocalSystem(phiL, amen._OpCore(M), phiR)
+        sys_ = amen._LocalSystem(phiL, op_core(M, 1), phiR)
         rhs3 = rng.standard_normal(sys_.shape3)
         x3, _ = sys_.solve(rhs3, None, 1e-3)
         assert calls == [1]
@@ -705,7 +753,7 @@ class TestLocalSolve:
         rng = np.random.default_rng(61)
         r0, n, r1 = 3, 10, 2
         phiL, M, phiR, B = random_local_system(r0, 2, n, 3, r1, 2, rng)
-        sys_ = amen._LocalSystem(phiL, amen._OpCore(M), phiR)
+        sys_ = amen._LocalSystem(phiL, op_core(M, 2), phiR)
         # the preconditioner band holds exactly the (x, z) diagonal blocks
         ab = sys_.block_jacobi_band().reshape(3, r0, r1, n)
         Bt = B.reshape(r0, n, r1, r0, n, r1)
@@ -730,7 +778,7 @@ class TestLocalSolve:
         # slice, so the rotated block Jacobi is the exact inverse
         rng = np.random.default_rng(seed)
         phiL, M, phiR, B = random_local_system(r0, a, n, b, r1, hb, rng)
-        sys_ = amen._LocalSystem(phiL, amen._OpCore(M), phiR)
+        sys_ = amen._LocalSystem(phiL, op_core(M, hb), phiR)
         rhs3 = rng.standard_normal(sys_.shape3)
         x3, iters = sys_.solve(rhs3, None, 1e-12)
         assert iters is not None and iters <= 2
@@ -750,7 +798,7 @@ class TestLocalSolve:
         phiR = np.einsum("zp,zbw,wq->pbq", H, phiR, H)
         K = np.kron(np.kron(G, np.eye(n)), H)
         B = K.T @ B @ K
-        sys_ = amen._LocalSystem(phiL, amen._OpCore(M), phiR)
+        sys_ = amen._LocalSystem(phiL, op_core(M, 2), phiR)
         QL, QR = sys_.frames()
         assert not np.allclose(np.abs(QL), np.eye(r0))
         assert not np.allclose(np.abs(QR), np.eye(r1))
@@ -789,12 +837,13 @@ def banded_core(a, n, b, hb, rng):
 
 
 def banded_op(sizes, rank, hb, rng):
-    """Random TT operator with inner ranks ``rank``; ``hb=None`` leaves its
-    cores dense (half-bandwidth n - 1)."""
+    """Random TT operator with inner ranks ``rank``; ``hb=None`` fills every
+    column of its cores (half-bandwidth n - 1)."""
     full = (1,) + (rank,) * (len(sizes) - 1) + (1,)
+    widths = [2 * (n - 1 if hb is None else hb) + 1 for n in sizes]
     return TtMatrix(
         [
-            banded_core(full[k], n, full[k + 1], n - 1 if hb is None else hb, rng)
+            rng.standard_normal((full[k], n, widths[k], full[k + 1]))
             for k, n in enumerate(sizes)
         ]
     )
@@ -812,7 +861,7 @@ class TestBandKernels:
     @pytest.mark.parametrize("hb,n", BAND_CASES)
     def test_core_band_holds_the_diagonals(self, hb, n):
         M = banded_core(2, n, 3, hb, np.random.default_rng(70))
-        op = amen._OpCore(M)
+        op = op_core(M, hb)
         assert op.hb == hb
         for m in range(hb + 1):
             diag = np.diagonal(M, -m, axis1=1, axis2=2).transpose(2, 0, 1)
@@ -824,6 +873,9 @@ class TestBandKernels:
                 want = M[:, i, j, :] if 0 <= j < n else np.zeros((2, 3))
                 assert np.array_equal(op.fwd[i, :, t, :], want)
                 assert np.array_equal(op.rev[i, :, t, :], op.fwd[i, :, t, :].T)
+        # rank_one packs a dense factor into the narrowest band that holds it
+        packed = TtMatrix.rank_one([M[0, :, :, 0]]).cores[0]
+        assert np.array_equal(packed, band_of(M[:1, :, :, :1], hb))
 
     @pytest.mark.parametrize("block_elems", [1, 200, amen._BLOCK_ELEMS])
     @pytest.mark.parametrize("hb,n", BAND_CASES)
@@ -833,7 +885,7 @@ class TestBandKernels:
         rng = np.random.default_rng(71 + n + hb)
         a, b, x, y, z, w = 2, 3, 3, 2, 4, 3
         M = banded_core(a, n, b, hb, rng)
-        op = amen._OpCore(M)
+        op = op_core(M, hb)
         phiL = rng.standard_normal((x, a, y))
         phiR = rng.standard_normal((z, b, w))
         v = rng.standard_normal((y, n, w))
@@ -850,7 +902,7 @@ class TestBandKernels:
         # P (c + 2 e) = 6 (2 + 2 * 3) = 48 elements per row: 3 rows a block
         monkeypatch.setattr(amen, "_BLOCK_ELEMS", 3 * 48)
         rng = np.random.default_rng(72)
-        op = amen._OpCore(banded_core(2, 8, 3, 2, rng))
+        op = op_core(banded_core(2, 8, 3, 2, rng), 2)
         phi, Ut = rng.standard_normal((2, 2, 3)), rng.standard_normal((8, 3, 3))
         blocks = [(i0, i1) for i0, i1, _ in amen._band_blocks(op.fwd, phi, Ut)]
         assert blocks == [(0, 3), (3, 6), (6, 8)]
@@ -860,7 +912,7 @@ class TestBandKernels:
         rng = np.random.default_rng(73 + n + hb)
         r0, r1 = 3, 2
         phiL, M, phiR, B = random_local_system(r0, 2, n, 3, r1, hb, rng)
-        sys_ = amen._LocalSystem(phiL, amen._OpCore(M), phiR)
+        sys_ = amen._LocalSystem(phiL, op_core(M, hb), phiR)
         # mode-major order (i, x, z): the lower band of the permuted matrix
         R = r0 * r1
         Bm = B.reshape(r0, n, r1, r0, n, r1).transpose(1, 0, 2, 4, 3, 5)
@@ -890,7 +942,7 @@ class TestBandKernels:
             return side_frame(phi, weight, trace_w)
 
         monkeypatch.setattr(amen, "_side_frame", spy)
-        amen._LocalSystem(phiL, amen._OpCore(M), phiR).frames()
+        amen._LocalSystem(phiL, op_core(M, hb), phiR).frames()
         nM = np.sqrt(np.einsum("aijb,aijb->ab", M, M))
         trM = np.einsum("aiib->ab", M)
         nL, nR = (np.linalg.norm(p, axis=(0, 2)) for p in (phiL, phiR))
@@ -946,7 +998,8 @@ class TestMemoryGuards:
     def system(self):
         rng = np.random.default_rng(90)
         n = self.n
-        A = TtMatrix([banded_core(r0, n, r1, 2, rng) for r0, r1 in ((1, 2), (2, 9), (9, 1))])
+        shapes = ((1, n, 5, 2), (2, n, 5, 9), (9, n, 5, 1))
+        A = TtMatrix([rng.standard_normal(s) for s in shapes])
         f = TtTensor.random((n,) * 3, (8, 10), rng)
         u = TtTensor.random((n,) * 3, (24, 23), rng)
         return [amen._OpCore(M) for M in A.cores], f, u, rng
@@ -979,6 +1032,33 @@ class TestMemoryGuards:
         assert peak_bytes(step) < 5.6e6
 
 
+def container_bytes(magic, kind, cores):
+    """A container laid out by hand from its cores, with a valid CRC-32:
+    the header sizes are read off the core shapes."""
+    d = len(cores)
+    head = [magic, struct.pack("<BB", kind, d)]
+    for axis in range(1, cores[0].ndim - 1):
+        head.append(struct.pack(f"<{d}I", *(G.shape[axis] for G in cores)))
+    head.append(struct.pack(f"<{d + 1}I", 1, *(G.shape[-1] for G in cores)))
+    body = b"".join(head) + b"".join(
+        np.ascontiguousarray(G, dtype="<f8").tobytes() for G in cores
+    )
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def ttc2_bytes(kind):
+    """A well-formed container in the TTC2 layout; operator cores are dense
+    (r, n, n, r'), with odd n."""
+    rng = np.random.default_rng(47)
+    sizes, ranks = (3, 5, 3), (1, 2, 2, 1)
+    square = kind == "operator"
+    cores = [
+        rng.standard_normal((ranks[k], n) + ((n,) if square else ()) + (ranks[k + 1],))
+        for k, n in enumerate(sizes)
+    ]
+    return container_bytes(b"TTC2", int(square), cores)
+
+
 class TestSerialization:
     def test_tensor_round_trip(self, tmp_path):
         rng = np.random.default_rng(40)
@@ -995,18 +1075,37 @@ class TestSerialization:
         rng = np.random.default_rng(41)
         M = TtMatrix(
             [
-                rng.standard_normal((1, 3, 4, 2)),
+                rng.standard_normal((1, 3, 3, 2)),
                 rng.standard_normal((2, 5, 5, 3)),
-                rng.standard_normal((3, 4, 3, 1)),
+                rng.standard_normal((3, 4, 1, 1)),
             ]
         )
         path = tmp_path / "m.tt"
         save_tt(path, M)
+        # the header holds the band widths, the payload the band cores
+        assert path.read_bytes() == container_bytes(b"TTC3", 1, M.cores)
         back = load_tt(path)
         assert isinstance(back, TtMatrix)
-        assert back.row_sizes == M.row_sizes and back.col_sizes == M.col_sizes
+        assert back.row_sizes == M.row_sizes and back.band_widths == M.band_widths
         for a, b in zip(back.cores, M.cores):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["tensor", "operator"])
+    def test_ttc2_rejected(self, tmp_path, kind):
+        """The superseded layout, whose operator cores were dense: with odd
+        mode sizes its payload would parse as band cores."""
+        path = tmp_path / "old.tt"
+        path.write_bytes(ttc2_bytes(kind))
+        with pytest.raises(ValueError, match="magic"):
+            load_tt(path)
+
+    def test_even_band_width_rejected(self, tmp_path):
+        rng = np.random.default_rng(48)
+        cores = [rng.standard_normal(s) for s in ((1, 4, 3, 2), (2, 5, 4, 1))]
+        path = tmp_path / "even.tt"
+        path.write_bytes(container_bytes(b"TTC3", 1, cores))
+        with pytest.raises(ValueError, match="even band width"):
+            load_tt(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.tt"
@@ -1064,3 +1163,7 @@ class TestSerialization:
         assert info["full_entries"] == 512
         assert info["n_params"] == 24
         assert info["compression_ratio"] == 512 / 24
+        info = tt_info(TtMatrix.identity((8, 8, 8)))
+        assert info["band_widths"] == [1, 1, 1]
+        assert info["full_entries"] == 512**2
+        assert info["compression_ratio"] == 512**2 / 24
