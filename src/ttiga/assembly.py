@@ -27,7 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import GeometryPatch, GridEvaluator, _is_finite_real, _line_index, det3
+from .geometry import (
+    GeometryPatch,
+    GridEvaluator,
+    _BLOCK,
+    _is_finite_real,
+    _line_index,
+)
 from .splines import Basis1D, basis_windows
 from .tensor_train import (
     CrossOracle,
@@ -136,29 +142,22 @@ def build_quadrature(solution_bases, n_gauss=None) -> Discretization:
 # ---------------------------------------------------------------------------
 # cross oracles on the quadrature grid
 
-# points per block of grid evaluation, shared by the cross oracles' line
-# chunks and the error quadrature's slabs (one ring e=32 slab). A block's
-# Jacobians and basis sums take some 50 doubles per point, so larger blocks
-# raise the peak memory; on the torus, 2^15 was no faster.
-_BLOCK = 1 << 13
-
-
 def _grid_oracle(ev: GridEvaluator, values) -> CrossOracle:
-    """Cross oracle of ``values(jac, pts, idx)`` on the grid of ``ev``:
-    pointwise (the cross's holdout samples), and on whole grid lines in
-    chunks of at most ``_BLOCK`` points (its fibers), at least one line."""
+    """Cross oracle of ``values(m, idx)`` for the
+    :class:`~ttiga.geometry.MapEval` ``m`` of the grid multi-indices ``idx``
+    of ``ev``: pointwise (the cross's holdout samples), and on whole grid
+    lines in chunks of at most ``_BLOCK`` points (its fibers), at least one
+    line."""
 
     def fn(idx):
-        jac, pts = ev.jacobians(idx)
-        return values(jac, pts, idx)
+        return values(ev.at(idx), idx)
 
     def lines(k, fixed):
         step = max(1, _BLOCK // ev.shape[k])
         out = []
         for m in range(0, fixed.shape[0], step):
             part = fixed[m: m + step]
-            jac, pts = ev.lines(k, part)
-            out.append(values(jac, pts, _line_index(ev.shape, k, part)))
+            out.append(values(ev.along(k, part), _line_index(ev.shape, k, part)))
         return np.concatenate(out).reshape(fixed.shape[0], ev.shape[k])
 
     return CrossOracle(fn, ev.shape, lines)
@@ -167,18 +166,12 @@ def _grid_oracle(ev: GridEvaluator, values) -> CrossOracle:
 def metric_oracle(ev: GridEvaluator, i: int, j: int) -> CrossOracle:
     """Entry (i, j) of the metric factor, sampled on the quadrature grid;
     only that entry is formed at each point."""
-    return _grid_oracle(ev, lambda jac, pts, idx: ev.metric_entry(jac, idx, i, j))
+    return _grid_oracle(ev, lambda m, idx: ev.metric_entry(m, idx, i, j))
 
 
 def load_oracle(ev: GridEvaluator, source) -> CrossOracle:
-    """Source times Jacobian determinant on the quadrature grid.
-
-    det J is :func:`det3` of J, not the homogeneous-sum form of
-    :attr:`~ttiga.geometry.MapEval.det`: the two differ in the last bit, and
-    AMEn, which solves only to ``eps_solve``, carries such a change in f to
-    ~1e-10 of the L-shape ladder's errors.
-    """
-    return _grid_oracle(ev, lambda jac, pts, idx: source(pts) * det3(jac))
+    """Source times Jacobian determinant on the quadrature grid."""
+    return _grid_oracle(ev, lambda m, idx: source(m.pts) * m.det)
 
 
 def metric_scale(ev: GridEvaluator, rng: np.random.Generator):
@@ -382,7 +375,6 @@ class AssembledSystem:
     f: TtTensor  # interior right-hand side
     lift: TtTensor  # boundary extension over the full coefficient space
     interior: tuple  # per-direction slices into the full space
-    metadata: dict = field(default_factory=dict)
 
 
 def _restrict_tensor(t: TtTensor, slices) -> TtTensor:
@@ -449,17 +441,4 @@ def apply_dirichlet(
     if all(G.any() for G in lift.cores):  # a rank-1 train is zero iff a core is
         correction = _restrict_tensor(tt_matvec(K, lift), slices)
         f_int = tt_round(tt_sub(f_int, correction), eps)
-    K_int = _restrict_matrix(K, slices)
-    return AssembledSystem(
-        K_int,
-        f_int,
-        lift,
-        slices,
-        {
-            "eps": eps,
-            "dirichlet_faces": bc.dirichlet_faces(),
-            "ranks_K": K_int.ranks,
-            "ranks_f": f_int.ranks,
-            "ranks_lift": lift.ranks,
-        },
-    )
+    return AssembledSystem(_restrict_matrix(K, slices), f_int, lift, slices)

@@ -79,7 +79,9 @@ _BENCH_FILE_KEYS = {
 _CROSSOVER_KEYS = {"geometry", "geometry_params", "degree", "elements", "source"}
 
 
-def _reject_unknown(doc: dict, allowed: set, where: str):
+def _reject_unknown(doc, allowed: set, where: str):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, not {type(doc).__name__}")
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -118,10 +120,30 @@ def _parse_bc(doc) -> BoundarySpec:
         raise ConfigError(f"bc: {exc}") from exc
 
 
+def _check_label(doc: dict):
+    """A run label names the run's files inside the output directory."""
+    label = doc.get("label")
+    if "label" in doc and (
+        not isinstance(label, str)
+        or label in ("", ".", "..")
+        or any(ch in label for ch in "/\\\0")
+    ):
+        raise ConfigError(
+            f"run label must be a non-empty file name without path "
+            f"separators, got {label!r}"
+        )
+
+
+def _output_dir(doc: dict) -> Path:
+    out = doc.get("output_dir", ".")
+    if not isinstance(out, str):
+        raise ConfigError(f"output_dir must be a path string, got {out!r}")
+    return Path(out)
+
+
 def parse_run(doc: dict, default_seed: int | None = None) -> tuple[SolveConfig, str | None]:
-    if not isinstance(doc, dict):
-        raise ConfigError("each run must be an object")
     _reject_unknown(doc, _RUN_KEYS, "run")
+    _check_label(doc)
     if "geometry" not in doc:
         raise ConfigError("run is missing the geometry name")
     kwargs = {k: v for k, v in doc.items() if k in _RUN_KEYS - {"bc", "label"}}
@@ -147,7 +169,7 @@ def load_solve_file(path) -> tuple[list, Path, int]:
         raise ConfigError("experiment file needs a non-empty runs list")
     seed = doc.get("seed", 0)
     runs = [parse_run(r, default_seed=seed) for r in doc["runs"]]
-    return runs, Path(doc.get("output_dir", ".")), seed
+    return runs, _output_dir(doc), seed
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +241,7 @@ def _dump_field(cfg: SolveConfig, rep, m: int, path: Path) -> None:
     fixed = np.zeros((m * m, 3), dtype=np.intp)
     fixed[:, 1] = np.tile(np.arange(m), m)
     fixed[:, 2] = np.repeat(np.arange(m), m)
-    _, pts = GridEvaluator(patch, [ax, ax, ax]).lines(0, fixed)
+    pts = GridEvaluator(patch, [ax, ax, ax]).along(0, fixed).pts
     u = vals.ravel(order="F")
     lines = [
         f"{x:.17g} {y:.17g} {z:.17g} {v:.17g}" for (x, y, z), v in zip(pts, u)
@@ -278,16 +300,18 @@ def load_bench_file(path) -> dict:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     _reject_unknown(doc, _BENCH_FILE_KEYS, "bench file")
-    doc.setdefault("output_dir", ".")
+    doc["output_dir"] = _output_dir(doc)
     doc.setdefault("seed", 0)
     doc.setdefault("degree", 2)
     doc.setdefault("elements", [8])
     doc.setdefault("geometries", [g for g in GEOMETRY_NAMES if g != "unit_cube"])
     doc.setdefault("source", "sin_pi_xyz")
+    if not isinstance(doc["geometries"], list):
+        raise ConfigError(f"geometries must be a list, got {doc['geometries']!r}")
     for g in doc["geometries"]:
         if g not in GEOMETRY_NAMES:
             raise ConfigError(f"unknown geometry {g!r}")
-    if np.isscalar(doc["elements"]):
+    if not isinstance(doc["elements"], list):
         doc["elements"] = [doc["elements"]]
     if "crossover" in doc:
         _reject_unknown(doc["crossover"], _CROSSOVER_KEYS, "crossover")
@@ -296,7 +320,7 @@ def load_bench_file(path) -> dict:
 
 def cmd_bench(args) -> int:
     doc = load_bench_file(args.config)
-    out_dir = Path(args.out) if args.out else Path(doc["output_dir"])
+    out_dir = Path(args.out) if args.out else doc["output_dir"]
     out_dir.mkdir(parents=True, exist_ok=True)
     eps = {
         k: doc[k] for k in ("eps_cross", "eps_solve", "eps_round") if k in doc
@@ -346,7 +370,7 @@ def _crossover_study(doc, out_dir) -> dict:
 
     cdoc = dict(doc["crossover"])
     ladder = cdoc.pop("elements", [4, 8, 16])
-    if np.isscalar(ladder):
+    if not isinstance(ladder, list):
         ladder = [ladder]
     points = []
     largest = None

@@ -32,10 +32,15 @@ from .assembly import (
     assemble_load,
     assemble_stiffness,
     build_quadrature,
-    _BLOCK,
     _lift_tensor,
 )
-from .geometry import GeometryPatch, GridEvaluator, _is_finite_real, make_geometry
+from .geometry import (
+    GeometryPatch,
+    GridEvaluator,
+    _BLOCK,
+    _is_finite_real,
+    make_geometry,
+)
 from .splines import Basis1D, KnotVector, eval_basis, tabulate
 from .tensor_train import (
     AmenOptions,
@@ -383,7 +388,7 @@ def cache_dir() -> Path | None:
 
 
 # bump when assembly changes what an entry holds, so stale entries miss
-CACHE_FORMAT = 6
+CACHE_FORMAT = 7
 
 
 def cache_key(cfg: SolveConfig, what: str) -> str:

@@ -29,7 +29,6 @@ __all__ = [
     "MapEval",
     "GridEvaluator",
     "GEOMETRY_NAMES",
-    "det3",
     "make_geometry",
     "patch_to_json",
     "patch_from_json",
@@ -101,17 +100,24 @@ class GeometryPatch:
 
     def eval_point(self, xi) -> np.ndarray:
         """Physical coordinates of the parametric point ``xi``."""
-        return GridEvaluator(self, np.reshape(xi, (3, 1))).points(_ORIGIN)[0]
+        return GridEvaluator(self, np.reshape(xi, (3, 1))).at(_ORIGIN).pts[0]
 
     def eval_metric(self, xi) -> MetricSample:
         """Jacobian, determinant, and stiffness metric factor at ``xi``."""
         ev = GridEvaluator(self, np.reshape(xi, (3, 1)))
-        jac, _ = ev.jacobians(_ORIGIN)
-        det, metric = ev._metric_of(jac, _ORIGIN)
-        return MetricSample(jac[0], float(det[0]), metric[0])
+        m = ev.at(_ORIGIN)
+        det, metric = ev._metric(m, _ORIGIN)
+        return MetricSample(m.jac[0], float(det[0]), metric[0])
 
 
 _ORIGIN = np.zeros((1, 3), dtype=np.intp)  # the one point of a 1x1x1 grid
+
+# points per block of grid evaluation, shared by the cross oracles' line
+# chunks and the error quadrature's slabs (one ring e=32 slab). A block's
+# homogeneous sums hold 16 doubles per point, and the rows its consumers
+# form from them about as many again, so larger blocks raise the peak
+# memory; on the torus, 2^15 was no faster.
+_BLOCK = 1 << 13
 
 
 class MapEval(NamedTuple):
@@ -149,17 +155,15 @@ class GridEvaluator:
     """Batched patch evaluation on a fixed tensor grid of parameters.
 
     Tabulates dense basis value and derivative rows per direction once, then
-    evaluates the map at arbitrary batches of grid multi-indices
-    (:meth:`jacobians`, :meth:`points`) or on whole grid lines
-    (:meth:`along`, :meth:`lines`), all through one kernel. The kernel
-    contracts the homogeneous control net [w P, w] with the rows of two
-    directions first; the net of an exact geometry is coarse, so this costs
-    a few hundred flops per point or line. Its results are laid out by
+    evaluates the map at arbitrary batches of grid multi-indices (:meth:`at`)
+    or on whole grid lines (:meth:`along`), both through one kernel. The
+    kernel contracts the homogeneous control net [w P, w] with the rows of
+    two directions first; the net of an exact geometry is coarse, so this
+    costs a few hundred flops per point or line. Its results are laid out by
     component, one contiguous row per quantity, and carried as a
-    :class:`MapEval`, so each consumer forms only what it reads: the error
-    quadrature takes det J and the points without forming J. This is the
-    evaluation backend for the cross-interpolation oracles and the error
-    quadrature.
+    :class:`MapEval`, from which det J and the metric entries are formed
+    without forming J. This is the evaluation backend for the
+    cross-interpolation oracles and the error quadrature.
     """
 
     def __init__(self, patch: GeometryPatch, axes_points):
@@ -191,35 +195,30 @@ class GridEvaluator:
         otherwise it anchors the grid line along ``axis`` through it, whose
         ``axis`` column is ignored (N = M * nq, line by line). One GEMM
         against the outer products of the two other directions' rows
-        contracts the net; then one GEMM per table runs along ``axis``, or
-        one product per point.
-
-        The line GEMMs run grid-index-major and are copied into rows. The
-        transposed products would write the rows directly, but OpenBLAS
-        rounds some of their entries differently, and the crossed operators
-        would then move in their last bits.
+        contracts the net; then one GEMM per derivative slot runs along
+        ``axis`` and writes that slot's rows, or one product per point.
         """
         b, c = (d for d in range(3) if d != axis)
         (Vb, Db), (Vc, Dc) = self._rows[b], self._rows[c]
         vb, db = Vb[fixed[:, b], :, None], Db[fixed[:, b], :, None]
         vc, dc = Vc[fixed[:, c], None, :], Dc[fixed[:, c], None, :]
-        W = np.stack([vb * vc, db * vc, vb * dc])  # (3, M, n_b, n_c)
+        W = np.stack([vb * vc, db * vc, vb * dc])  # tables (3, M, n_b, n_c)
         M = fixed.shape[0]
         G = (W.reshape(3 * M, -1) @ self._nets[axis]).reshape(3, M, -1, 4)
         V, D = self._rows[axis]
+        # out[1 + d, k] is the row of d h_k / d xi_d, out[0, k] that of h_k
         if pointwise:
             V, D = V[fixed[:, axis]], D[fixed[:, axis]]
-            hv = np.einsum("na,knax->kxn", V, G)  # h, d_b h, d_c h
-            d = np.einsum("na,nax->xn", D, G[0])
+            out = np.empty((4, 4, M))
+            out[0], out[1 + b], out[1 + c] = np.einsum("na,tnax->txn", V, G)
+            out[1 + axis] = np.einsum("na,nax->xn", D, G[0])
         else:
-            S = G.transpose(2, 0, 1, 3).reshape(G.shape[2], -1)
-            nq = V.shape[0]
-            hv = (V @ S).reshape(nq, 3, M, 4).transpose(1, 3, 2, 0)
-            d = (D @ S[:, : 4 * M]).reshape(nq, M, 4).transpose(2, 1, 0)
-        out = np.empty((4, 4) + d.shape[1:])
-        out[:, 0], out[:, 1 + b], out[:, 1 + c] = hv
-        out[:, 1 + axis] = d
-        return out.reshape(4, 4, -1)
+            S = G.transpose(0, 3, 1, 2).reshape(3, 4 * M, -1)  # S[t]: rows (k, m)
+            out = np.empty((4, 4 * M, V.shape[0]))
+            for t, slot in enumerate((0, 1 + b, 1 + c)):
+                np.matmul(S[t], V.T, out=out[slot])
+            np.matmul(S[0], D.T, out=out[1 + axis])
+        return out.reshape(4, 4, -1).swapaxes(0, 1)
 
     def _evaluate(self, axis, fixed, pointwise) -> MapEval:
         """The :class:`MapEval` of the sums of :meth:`_sums`, formed in place."""
@@ -228,6 +227,10 @@ class GridEvaluator:
         x /= w
         A -= x[:, None] * S[3, 1:]  # d(h_i / w) w = dh_i - x_i dw
         return MapEval(x, A, w)
+
+    def at(self, idx) -> MapEval:
+        """The map at the grid multi-indices ``idx`` (N, 3)."""
+        return self._evaluate(0, idx, pointwise=True)
 
     def along(self, axis: int, fixed) -> MapEval:
         """The map on whole grid lines along ``axis``.
@@ -238,56 +241,38 @@ class GridEvaluator:
         """
         return self._evaluate(axis, fixed, pointwise=False)
 
-    def points(self, idx) -> np.ndarray:
-        """Physical coordinates for grid multi-indices ``idx`` of shape (N, 3)."""
-        return self._evaluate(0, idx, pointwise=True).pts
-
     def jacobians(self, idx):
         """Jacobians (N, 3, 3) and physical points (N, 3) for ``idx``."""
-        m = self._evaluate(0, idx, pointwise=True)
-        return m.jac, m.pts
-
-    def lines(self, axis: int, fixed):
-        """Jacobians (M*nq, 3, 3) and points (M*nq, 3) on the grid lines of
-        :meth:`along`, line by line."""
-        m = self.along(axis, fixed)
+        m = self.at(idx)
         return m.jac, m.pts
 
     def metric(self, idx):
         """Determinants (N,) and metric factors (N, 3, 3) for ``idx``."""
-        jac, _ = self.jacobians(idx)
-        return self._metric_of(jac, idx)
+        return self._metric(self.at(idx), idx)
 
-    def _metric_of(self, jac, idx):
-        """Determinants and metric factors of the Jacobians ``jac`` at ``idx``.
-
-        The metric is adj(J) adj(J)^T / det J, exactly symmetric. Raises
-        :class:`SingularMapError` where |det J| falls below the singularity
-        threshold.
-        """
-        det = det3(jac)
+    def _metric(self, m: MapEval, idx):
+        """det J (N,) and the exactly symmetric metric factors (N, 3, 3) of
+        the map ``m`` at ``idx``, each entry as in :meth:`metric_entry`."""
+        det = m.det
         self._check_regular(det, idx)
-        # rows of the cofactor matrix C = adj(J)^T: J1 x J2, J2 x J0, J0 x J1
-        cof = np.cross(jac[:, [1, 2, 0], :], jac[:, [2, 0, 1], :])
-        metric = np.einsum("nki,nkj->nij", cof, cof) / det[:, None, None]
-        return det, metric
+        denom = det * m.w**4
+        R = np.empty((3, 3, m.w.size))
+        for i, j in zip(*np.triu_indices(3)):
+            R[i, j] = R[j, i] = _metric_entry(m.A, denom, i, j)
+        return det, R.transpose(2, 0, 1)
 
-    def metric_entry(self, jac, idx, i: int, j: int) -> np.ndarray:
-        """Entry (i, j) (N,) of the metric factors of the Jacobians ``jac``
-        at ``idx``, forming no other entry.
+    def metric_entry(self, m: MapEval, idx, i: int, j: int) -> np.ndarray:
+        """Entry (i, j) (N,) of the metric factors adj(J) adj(J)^T / det J of
+        the map ``m`` at ``idx``, forming no other entry and no Jacobian.
 
-        R_ij = (c_i . c_j) / det J, where c_i = J[:, i+1] x J[:, i+2] (indices
-        mod 3) is column i of the cofactor matrix and det J = J[:, i] . c_i,
-        all on the component rows of ``jac``. Raises like :meth:`metric`.
+        R_ij = (c_i . c_j) / (w^4 det J), where c_i = A[:, i+1] x A[:, i+2]
+        (indices mod 3) is column i of the cofactor matrix of A = w J, all on
+        the component rows of ``m``. Raises :class:`SingularMapError` where
+        |det J| falls below the singularity threshold.
         """
-        J = np.moveaxis(jac, 0, -1)  # J[k, d] is one row (N,)
-        ci = _cofactor_column(J, i)
-        det = J[0, i] * ci[0] + J[1, i] * ci[1] + J[2, i] * ci[2]
+        det = m.det
         self._check_regular(det, idx)
-        cj = ci if j == i else _cofactor_column(J, j)
-        # summed (0 + 2) + 1, as numpy's einsum reduces a contiguous axis of
-        # 3, so the entries equal the einsum form of this product bit for bit
-        return (ci[0] * cj[0] + ci[2] * cj[2] + ci[1] * cj[1]) / det
+        return _metric_entry(m.A, det * m.w**4, i, j)
 
     def _check_regular(self, det, idx):
         """Raise :class:`SingularMapError` at the first grid point of ``idx``
@@ -301,10 +286,17 @@ class GridEvaluator:
             raise SingularMapError(f"singular geometry map at xi={xi}")
 
 
-def _cofactor_column(J, i: int):
-    """Column i of the cofactor matrices of the component rows ``J``
-    (3, 3, N), as three rows: J[:, i+1] x J[:, i+2]."""
-    a, b = J[:, (i + 1) % 3], J[:, (i + 2) % 3]
+def _metric_entry(A, denom, i: int, j: int) -> np.ndarray:
+    """(c_i . c_j) / denom, c_i the cofactor columns of the rows ``A``."""
+    ci = _cofactor_column(A, i)
+    cj = ci if j == i else _cofactor_column(A, j)
+    return (ci[0] * cj[0] + ci[1] * cj[1] + ci[2] * cj[2]) / denom
+
+
+def _cofactor_column(A, i: int):
+    """Column i of the cofactor matrices of the component rows ``A``
+    (3, 3, N), as three rows: A[:, i+1] x A[:, i+2]."""
+    a, b = A[:, (i + 1) % 3], A[:, (i + 2) % 3]
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
             a[0] * b[1] - a[1] * b[0])
 
@@ -314,13 +306,6 @@ def _det_rows(R) -> np.ndarray:
     (3, 3, N), by cofactor expansion along the first row."""
     (a, b, c), (d, e, f), (g, h, i) = R
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def det3(jac) -> np.ndarray:
-    """Determinants (N,) of Jacobians (N, 3, 3) by cofactor expansion along
-    the first row, with no LU factorization per matrix. On the views
-    :class:`GridEvaluator` returns it reads contiguous component rows."""
-    return _det_rows(np.moveaxis(jac, 0, -1))
 
 
 def _line_index(shape, axis: int, fixed) -> np.ndarray:
@@ -395,10 +380,14 @@ def _hyperbola_net(r_end: float, r_waist: float, z0: float, z1: float):
 def _finalize(kvs, ctrl, w, metadata) -> GeometryPatch:
     """Build the patch and verify det(J) > 0 on interior probes."""
     patch = GeometryPatch(tuple(Basis1D(kv, None) for kv in kvs), ctrl, w, metadata)
-    probes = ([0.37, 0.51, 0.43], [0.11, 0.62, 0.29], [0.83, 0.24, 0.77], [0.5] * 3)
-    for xi in probes:
-        if patch.eval_metric(np.asarray(xi)).det <= 0:
-            raise GeometryError("orientation check failed: det(J) <= 0")
+    probes = np.array(
+        [[0.37, 0.51, 0.43], [0.11, 0.62, 0.29], [0.83, 0.24, 0.77], [0.5] * 3]
+    )
+    # probe k is the point (k, k, k) of the grid spanned by the probes
+    diagonal = np.stack([np.arange(len(probes))] * 3, axis=1)
+    det, _ = GridEvaluator(patch, probes.T).metric(diagonal)
+    if np.any(det <= 0):
+        raise GeometryError("orientation check failed: det(J) <= 0")
     return patch
 
 

@@ -384,7 +384,6 @@ class TestDirichlet:
         K = TtMatrix.rank_one([np.eye(n) for n in sizes])
         system = apply_dirichlet(K, TtTensor.ones(sizes), bc, disc)
         assert system.lift.ranks == (1, 1, 1, 1)
-        assert system.metadata["ranks_lift"] == (1, 1, 1, 1)
         lift = np.moveaxis(system.lift.full(), axis, 0)
         expect = np.zeros_like(lift)
         for s, v in zip(sides, values):

@@ -278,6 +278,28 @@ class TestSolveCommand:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("label", ["../escaped", "a/b", "a\\b", ".", "..", "", 5, None])
+    def test_bad_label_rejected(self, tmp_path, capsys, label):
+        """A label names the run's report inside output_dir: a label that
+        is not a plain file name is refused before anything is written."""
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"output_dir": str(tmp_path / "out"), "runs": [dict(CUBE_RUN, label=label)]},
+        )
+        assert main(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run label") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_label_names_report(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"output_dir": str(tmp_path / "out"),
+             "runs": [dict(CUBE_RUN, label="cube.e2")]},
+        )
+        assert main(["solve", "--config", str(cfg)]) == 0
+        assert (tmp_path / "out" / "cube.e2.json").exists()
+
     @pytest.mark.parametrize(
         "field,value",
         [("n_gauss", 2), ("n_gauss", [3, 2, 4]), ("rank_cap", 1), ("degree", [1, 2, 1]),
@@ -336,6 +358,56 @@ class TestBenchCommand:
         assert rows[0]["status"] == "ok"
         assert rows[1]["status"].startswith("failed: ConfigError: ")
         assert "at least one element" in rows[1]["status"]
+
+    def test_elements_not_a_list(self, tmp_path, capsys):
+        """A ladder that is not a list is one rung: a bad bench rung is
+        recorded in the CSV, and a bad crossover rung is a config error."""
+        doc = {
+            "output_dir": str(tmp_path / "bench"),
+            "degree": 1,
+            "elements": None,
+            "geometries": ["unit_cube"],
+            "crossover": {"geometry": "unit_cube", "degree": 1, "elements": None},
+        }
+        cfg = write_config(tmp_path / "bench.json", doc)
+        assert main(["bench", "--config", str(cfg)]) == 1
+        (row,) = read_csv(tmp_path / "bench" / "bench.csv")
+        assert row["status"].startswith("failed: ConfigError: elements")
+        err = capsys.readouterr().err
+        assert err.startswith("error: elements") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command,doc,needle",
+        [
+            ("solve", [CUBE_RUN], "experiment file must be a JSON object"),
+            ("solve", 5, "experiment file must be a JSON object"),
+            ("solve", {"output_dir": 5, "runs": [CUBE_RUN]}, "output_dir"),
+            ("bench", ["ring"], "bench file must be a JSON object"),
+            ("bench", 5, "bench file must be a JSON object"),
+            ("bench", {"crossover": 5}, "crossover must be a JSON object"),
+            ("bench", {"output_dir": 5, "geometries": ["ring"]}, "output_dir"),
+            ("bench", {"geometries": "ring"}, "geometries must be a list"),
+            ("check", {"crossover": 5}, "crossover must be a JSON object"),
+            ("check", {"geometries": "ring"}, "geometries must be a list"),
+            ("check", {"output_dir": 5, "runs": [CUBE_RUN]}, "output_dir"),
+        ],
+        ids=["solve-list", "solve-number", "solve-output-dir", "bench-list",
+             "bench-number", "bench-crossover", "bench-output-dir",
+             "bench-geometries", "check-crossover", "check-geometries",
+             "check-output-dir"],
+    )
+    def test_malformed_config_file_exits_with_message(
+        self, tmp_path, monkeypatch, capsys, command, doc, needle
+    ):
+        """A config file of the wrong shape exits 1 with one error line,
+        never a traceback, and writes nothing."""
+        monkeypatch.chdir(tmp_path)  # the default output_dir
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        argv = [command, str(cfg)] if command == "check" else [command, "--config", str(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 class TestDumpCommand:

@@ -212,24 +212,24 @@ class TestSolvePoisson:
         assert [path.stat().st_size for path in entries] == sizes
 
     def test_geometry_points_stay_within_probe_budget(self, monkeypatch):
-        """The crosses fetch their fibers through GridEvaluator.lines; only
+        """The crosses fetch their fibers through GridEvaluator.along; only
         the holdout samples, the metric scale probe and the orientation
         probes of the geometry factory evaluate point by point."""
         from ttiga.geometry import GridEvaluator
 
         counts = {"points": 0, "lines": 0}
-        jacobians, lines = GridEvaluator.jacobians, GridEvaluator.lines
+        at, along = GridEvaluator.at, GridEvaluator.along
 
         def count_points(self, idx):
             counts["points"] += len(idx)
-            return jacobians(self, idx)
+            return at(self, idx)
 
         def count_lines(self, axis, fixed):
             counts["lines"] += len(fixed) * self.shape[axis]
-            return lines(self, axis, fixed)
+            return along(self, axis, fixed)
 
-        monkeypatch.setattr(GridEvaluator, "jacobians", count_points)
-        monkeypatch.setattr(GridEvaluator, "lines", count_lines)
+        monkeypatch.setattr(GridEvaluator, "at", count_points)
+        monkeypatch.setattr(GridEvaluator, "along", count_lines)
         cfg = SolveConfig(
             geometry="quarter_torus", degree=2, elements=4, source="sin_pi_xyz"
         )
@@ -247,23 +247,69 @@ class TestSolvePoisson:
         from ttiga.geometry import GridEvaluator
 
         line_points, n_evals = [], []
-        lines, cross = GridEvaluator.lines, assembly.tt_cross
+        along, cross = GridEvaluator.along, assembly.tt_cross
 
         def count_lines(self, axis, fixed):
             line_points.append(len(fixed) * self.shape[axis])
-            return lines(self, axis, fixed)
+            return along(self, axis, fixed)
 
         def count_cross(*args, **kwargs):
             res = cross(*args, **kwargs)
             n_evals.append(res.n_evals)
             return res
 
-        monkeypatch.setattr(GridEvaluator, "lines", count_lines)
+        monkeypatch.setattr(GridEvaluator, "along", count_lines)
         monkeypatch.setattr(assembly, "tt_cross", count_cross)
         rep = solve_poisson(ring_cfg(8, analytic=None))
         assert rep.solver_converged
         assert len(n_evals) == 7  # six metric entries and the load
         assert sum(line_points) == sum(n_evals) - 7 * 1000
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SolveConfig(geometry="quarter_torus", degree=2, elements=8,
+                        source="sin_pi_xyz"),
+            ring_cfg(8),
+            LSHAPE_4,
+        ],
+        ids=["torus", "ring-lift", "lshape"],
+    )
+    def test_tt_path_forms_no_jacobian(self, monkeypatch, cfg):
+        """Assembly and the error quadrature read det J, the points and the
+        metric entries from the homogeneous sums: no Jacobian is formed
+        while they run."""
+        from ttiga.geometry import MapEval
+
+        monkeypatch.delenv("TTIGA_CACHE_DIR", raising=False)
+        inside, ran, reads = [], set(), []
+        jac = MapEval.jac
+
+        def spy(m):
+            reads.append(tuple(inside))
+            return jac.fget(m)
+
+        def enter(name, fn):
+            def run(*args, **kwargs):
+                ran.add(name)
+                inside.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    inside.pop()
+            return run
+
+        monkeypatch.setattr(MapEval, "jac", property(spy))
+        for name in ("assemble_stiffness", "assemble_load", "error_norms"):
+            monkeypatch.setattr(driver, name, enter(name, getattr(driver, name)))
+        rep = solve_poisson(cfg)
+        expect = {"assemble_stiffness", "assemble_load"}
+        assert ran == expect | ({"error_norms"} if cfg.analytic else set())
+        assert rep.solver_converged and rep.residual <= cfg.eps_solve
+        assert all(not stack for stack in reads)
+        # the spy sees a Jacobian formed outside those layers
+        make_geometry(cfg.geometry).eval_metric([0.3, 0.4, 0.5])
+        assert reads and reads[-1] == ()
 
     def test_one_exact_residual_per_solve(self, monkeypatch):
         """AMEn forms the exact residual f - A u only to certify: on this

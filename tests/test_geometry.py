@@ -6,12 +6,24 @@ from ttiga.geometry import (
     GeometryError,
     GeometryPatch,
     GridEvaluator,
-    det3,
     make_geometry,
     patch_from_json,
     patch_to_json,
 )
 from ttiga.splines import Basis1D, KnotVector
+
+
+def _det3(jac):
+    """Reference determinants (N,) of Jacobians (N, 3, 3) by cofactor
+    expansion along the first row."""
+    (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(jac, 0, -1)
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _lu_metric(jac):
+    """Reference metric factors det J inv(J) inv(J)^T by LU."""
+    inv = np.linalg.inv(jac)
+    return np.linalg.det(jac)[:, None, None] * (inv @ inv.transpose(0, 2, 1))
 
 
 def scaling_patch(factor=2.0) -> GeometryPatch:
@@ -164,18 +176,19 @@ class TestMetric:
         ax = np.linspace(0.02, 0.98, 9)
         ev = GridEvaluator(make_geometry(name), [ax, ax, ax])
         idx = np.indices((9, 9, 9)).reshape(3, -1).T
-        jac, _ = ev.jacobians(idx)
-        assert np.all(det3(jac) > 0)
+        assert np.all(ev.at(idx).det > 0)
 
     def test_det_consistency(self):
         patch = make_geometry("ring")
         xi = np.array([0.21, 0.45, 0.83])
         m = patch.eval_metric(xi)
-        # the determinant is det3's cofactor expansion of the sample's own
-        # Jacobian, and agrees with LU to a few ulps
-        assert m.det == det3(m.jacobian[None])[0]
-        ref = np.linalg.det(m.jacobian)
-        assert abs(m.det - ref) <= 4 * np.finfo(float).eps * abs(ref)
+        # the determinant is the grid evaluator's det J bit for bit, and
+        # agrees with the cofactor expansion of the sample's own Jacobian
+        # and with LU to a few ulps
+        ev = GridEvaluator(patch, xi.reshape(3, 1))
+        assert m.det == ev.at(np.zeros((1, 3), int)).det[0]
+        for ref in (_det3(m.jacobian[None])[0], np.linalg.det(m.jacobian)):
+            assert abs(m.det - ref) <= 4 * np.finfo(float).eps * abs(ref)
 
     def test_ring_det_positive_sampled(self):
         patch = make_geometry("ring")
@@ -237,29 +250,31 @@ class TestLines:
         )])
         fixed[:, axis] = rng.integers(0, shape[axis], fixed.shape[0])  # ignored
         idx = _line_index(shape, axis, fixed)
-        jac, pts = ev.lines(axis, fixed)
-        jac_p, pts_p = ev.jacobians(idx)
+        m, m_p = ev.along(axis, fixed), ev.at(idx)
+        jac, pts, jac_p, pts_p = m.jac, m.pts, m_p.jac, m_p.pts
         assert jac.shape == (len(idx), 3, 3) and pts.shape == (len(idx), 3)
         assert np.abs(jac - jac_p).max() <= 1e-13 * np.abs(jac_p).max()
         assert np.abs(pts - pts_p).max() <= 1e-13 * np.abs(pts_p).max()
-        det, metric = ev._metric_of(jac, idx)
         det_p, metric_p = ev.metric(idx)
-        assert np.abs(det - det_p).max() <= 1e-13 * np.abs(det_p).max()
-        assert np.abs(metric - metric_p).max() <= 1e-13 * np.abs(metric_p).max()
+        assert np.abs(m.det - det_p).max() <= 1e-13 * np.abs(det_p).max()
+        for i, j in zip(*np.triu_indices(3)):
+            err = np.abs(ev.metric_entry(m, idx, i, j) - metric_p[:, i, j]).max()
+            assert err <= 1e-13 * np.abs(metric_p).max()
 
     @pytest.mark.parametrize("name", GEOMETRY_NAMES)
     def test_det3_matches_lu_det(self, name):
-        # whole i3 slabs, which error_norms evaluates in blocks: lines along
-        # axis 0 through each i2
+        """det J from the homogeneous sums agrees with LU on whole i3 slabs,
+        which error_norms evaluates in blocks: lines along axis 0 through
+        each i2."""
         ev = GridEvaluator(make_geometry(name), _gauss_axes((6, 5, 4)))
         shape = ev.shape
         fixed = np.zeros((shape[1], 3), dtype=np.intp)
         fixed[:, 1] = np.arange(shape[1])
         for i3 in range(shape[2]):
             fixed[:, 2] = i3
-            jac, _ = ev.lines(0, fixed)
-            ref = np.linalg.det(jac)
-            assert np.all(np.abs(det3(jac) - ref) <= 1e-13 * np.abs(ref))
+            m = ev.along(0, fixed)
+            ref = np.linalg.det(m.jac)
+            assert np.all(np.abs(m.det - ref) <= 1e-13 * np.abs(ref))
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize(
@@ -269,14 +284,14 @@ class TestLines:
     )
     def test_det_from_homogeneous_sums(self, name, params, axis):
         """det J = det(w J) / w^3 from the homogeneous sums, with no Jacobian
-        formed, against det3 of the pointwise Jacobians; R = 4 puts the
-        torus's points far from the origin."""
+        formed, against the cofactor expansion of the pointwise Jacobians;
+        R = 4 puts the torus's points far from the origin."""
         ev = GridEvaluator(make_geometry(name, params), _gauss_axes((5, 4, 3)))
         rng = np.random.default_rng(40 + axis)
         fixed = np.stack([rng.integers(0, n, 9) for n in ev.shape], axis=1)
         m = ev.along(axis, fixed)
         jac, pts = ev.jacobians(_line_index(ev.shape, axis, fixed))
-        ref = det3(jac)
+        ref = _det3(jac)
         assert np.all(np.abs(m.det - ref) <= 1e-14 * np.abs(ref))
         assert np.abs(m.pts - pts).max() <= 1e-15 * np.abs(pts).max()
 
@@ -324,11 +339,12 @@ class TestLines:
         rng = np.random.default_rng(30)
         idx = np.stack([rng.integers(0, n, 200) for n in shape], axis=1)
         fixed = np.stack([rng.integers(0, n, 6) for n in shape], axis=1)
-        # relative to the whole metric, as the crosses measure each entry:
-        # entries that vanish analytically hold only round-off
+        # against LU on the Jacobians, relative to the whole metric, as the
+        # crosses measure each entry: entries that vanish analytically hold
+        # only round-off
         for axis in range(3):
-            _, R = ev.metric(idx)
-            _, R_lines = ev.metric(_line_index(shape, axis, fixed))
+            R = _lu_metric(ev.jacobians(idx)[0])
+            R_lines = _lu_metric(ev.jacobians(_line_index(shape, axis, fixed))[0])
             scale, scale_lines = np.abs(R).max(), np.abs(R_lines).max()
             for i in range(3):
                 for j in range(i, 3):
