@@ -322,11 +322,9 @@ def cmd_bench(args) -> int:
     doc = load_bench_file(args.config)
     out_dir = Path(args.out) if args.out else doc["output_dir"]
     out_dir.mkdir(parents=True, exist_ok=True)
-    eps = {
-        k: doc[k] for k in ("eps_cross", "eps_solve", "eps_round") if k in doc
-    }
+    eps = {k: doc[k] for k in ("eps_cross", "eps_solve", "eps_round") if k in doc}
     rows = []
-    n_ok = 0
+    n_ok, rejected = 0, []  # rejected: errors of rungs whose config was bad
     for geometry in doc["geometries"]:
         for elems in doc["elements"]:
             run = {
@@ -339,6 +337,7 @@ def cmd_bench(args) -> int:
             }
             if "rank_cap" in doc:
                 run["rank_cap"] = doc["rank_cap"]
+            cfg = None
             try:
                 cfg, _ = parse_run(run)
                 rep = solve_poisson(cfg)
@@ -349,6 +348,8 @@ def cmd_bench(args) -> int:
                 )
                 n_ok += status == "ok"
             except Exception as exc:  # recorded, not fatal: bench carries on
+                if cfg is None:
+                    rejected.append(exc)
                 rows.append(
                     {
                         "geometry": geometry,
@@ -362,6 +363,8 @@ def cmd_bench(args) -> int:
     if "crossover" in doc:
         summary = _crossover_study(doc, out_dir)
         _atomic_write(out_dir / "crossover.json", json.dumps(summary, indent=2))
+    if rows and len(rejected) == len(rows):
+        raise ConfigError(f"every bench run was rejected: {rejected[0]}")
     return 0 if n_ok >= 1 else 2
 
 
@@ -470,6 +473,7 @@ def _check_report(doc: dict):
         "compression_f": (int, float),
         "compression_u": (int, float),
         "sweeps": int,
+        "cg_iters": int,
         "timings": dict,
     }
     for key, typ in required.items():

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import (
     BoundarySpec,
@@ -280,6 +278,7 @@ class SolutionReport:
     compression_u: float
     timings: dict
     sweeps: int
+    cg_iters: int
     cross_evals: dict
 
     def metrics_dict(self) -> dict:
@@ -303,6 +302,7 @@ class SolutionReport:
             "compression_f": self.compression_f,
             "compression_u": self.compression_u,
             "sweeps": self.sweeps,
+            "cg_iters": self.cg_iters,
             "cross_evals": dict(self.cross_evals),
         }
 
@@ -483,6 +483,8 @@ def error_norms(u: TtTensor, analytic_fn, patch: GeometryPatch, disc: Discretiza
     w1, w2, w3 = (disc.tables[d].weights for d in range(3))
     w21 = np.outer(w2, w1).ravel()
     step = max(1, _BLOCK // (n1 * n2))
+    # one workspace for every block, of which the last uses leading slices
+    sums, (wq, uq) = np.empty(16 * step * n2 * n1), np.empty((2, step, n2 * n1))
     num = den = num2 = den2 = 0.0
     for start in range(0, n3, step):
         i3 = np.arange(start, min(start + step, n3))
@@ -490,11 +492,11 @@ def error_norms(u: TtTensor, analytic_fn, patch: GeometryPatch, disc: Discretiza
         fixed = np.zeros((i3.size * n2, 3), dtype=np.intp)
         fixed[:, 1] = np.tile(np.arange(n2), i3.size)
         fixed[:, 2] = np.repeat(i3, n2)
-        m = ev.along(0, fixed)
+        m = ev.along(0, fixed, out=sums)
         wdet = m.det
-        wdet *= np.outer(w3[i3], w21).ravel()
+        wdet *= np.multiply.outer(w3[i3], w21, out=wq[: i3.size]).ravel()
         u_exact = analytic_fn(m.pts)
-        diff = (V[2][:, i3, 0].T @ T21).ravel()
+        diff = np.matmul(V[2][:, i3, 0].T, T21, out=uq[: i3.size]).ravel()
         diff -= u_exact
         num2 += float(wdet @ (diff * diff))
         den2 += float(wdet @ (u_exact * u_exact))
@@ -606,6 +608,7 @@ def solve_poisson(cfg: SolveConfig) -> SolutionReport:
         compression_u=compression_ratio(u_full),
         timings=timings,
         sweeps=result.sweeps,
+        cg_iters=result.cg_iters,
         cross_evals={"K": k_info["n_evals"], "f": f_info["n_evals"]},
     )
 
@@ -615,7 +618,7 @@ def solve_poisson(cfg: SolveConfig) -> SolutionReport:
 
 @dataclass
 class FullGridResult:
-    K: sp.csr_matrix  # full coefficient space
+    K: "scipy.sparse.csr_matrix"  # full coefficient space
     f: np.ndarray  # full coefficient space
     u: np.ndarray  # solved field, boundary coefficients included
     mode_sizes: tuple
@@ -626,8 +629,12 @@ def full_grid_reference(cfg: SolveConfig) -> FullGridResult:
     """Classical sparse IGA assembly and direct/CG solve, same quadrature.
 
     Refuses above the dof guard: the point of the TT pipeline is precisely
-    that this path stops scaling.
+    that this path stops scaling. It alone uses ``scipy.sparse``, so it
+    imports it, and the TT path never loads it.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     patch, cfg, disc = discretize(cfg)
     sizes = disc.mode_sizes
     n_dofs = disc.n_dofs
@@ -649,57 +656,35 @@ def full_grid_reference(cfg: SolveConfig) -> FullGridResult:
     stride = (sizes[1] * sizes[2], sizes[2], 1)
 
     q1_all = np.arange(tabs[0].points.size)
+    E1 = n_el[0]  # shapes per element row e1: (E1, t1, t2, t3, ...)
+    t1, t2, t3 = tabs
+
+    def product(X1, X2, X3):  # the tensor products of three 1D factors
+        Gr = np.einsum("Eta,ub,vc->Etuvabc", X1, X2, X3, optimize=True)
+        return Gr.reshape(E1, g[0], g[1], g[2], -1)
+
     for e2 in range(n_el[1]):
         q2 = np.arange(e2 * g[1], (e2 + 1) * g[1])
         for e3 in range(n_el[2]):
             q3 = np.arange(e3 * g[2], (e3 + 1) * g[2])
-            idx = np.stack(
-                [
-                    np.repeat(q1_all, g[1] * g[2]),
-                    np.tile(np.repeat(q2, g[2]), q1_all.size),
-                    np.tile(q3, q1_all.size * g[1]),
-                ],
-                axis=1,
-            )
+            idx = np.stack([np.repeat(q1_all, g[1] * g[2]),
+                            np.tile(np.repeat(q2, g[2]), q1_all.size),
+                            np.tile(q3, q1_all.size * g[1])], axis=1)
             jac, pts = ev.jacobians(idx)
             det = np.linalg.det(jac)
             inv = np.linalg.inv(jac)
             R = inv @ inv.transpose(0, 2, 1) * det[:, None, None]
-            # shapes per element row e1: (E1, t1, t2, t3, ...)
-            E1 = n_el[0]
             R = R.reshape(E1, g[0], g[1], g[2], 3, 3)
             fj = (source(pts) * det).reshape(E1, g[0], g[1], g[2])
 
             # local 1D factors: values and derivatives on this element block
-            B = []
-            D = []
-            W = []
-            for d, q in ((0, None), (1, q2), (2, q3)):
-                if d == 0:
-                    V = tabs[0].vals.reshape(E1, g[0], p1[0])
-                    Dv = tabs[0].ders.reshape(E1, g[0], p1[0])
-                    Wv = tabs[0].weights.reshape(E1, g[0])
-                else:
-                    V = tabs[d].vals[q]
-                    Dv = tabs[d].ders[q]
-                    Wv = tabs[d].weights[q]
-                B.append(V)
-                D.append(Dv)
-                W.append(Wv)
-
+            B = [t1.vals.reshape(E1, g[0], p1[0]), t2.vals[q2], t3.vals[q3]]
+            D = [t1.ders.reshape(E1, g[0], p1[0]), t2.ders[q2], t3.ders[q3]]
+            W = [t1.weights.reshape(E1, g[0]), t2.weights[q2], t3.weights[q3]]
             # gradient factor per direction i: product with derivative in i
-            grads = []
-            for i in range(3):
-                X1 = D[0] if i == 0 else B[0]
-                X2 = D[1] if i == 1 else B[1]
-                X3 = D[2] if i == 2 else B[2]
-                Gr = np.einsum(
-                    "Eta,ub,vc->Etuvabc", X1, X2, X3, optimize=True
-                )
-                grads.append(Gr.reshape(E1, g[0], g[1], g[2], -1))
-            Nloc = np.einsum(
-                "Eta,ub,vc->Etuvabc", B[0], B[1], B[2], optimize=True
-            ).reshape(E1, g[0], g[1], g[2], -1)
+            grads = [product(*(D[d] if d == i else B[d] for d in range(3)))
+                     for i in range(3)]
+            Nloc = product(*B)
             wq = np.einsum("Et,u,v->Etuv", W[0], W[1], W[2], optimize=True)
 
             Kloc = np.zeros((E1, Nloc.shape[-1], Nloc.shape[-1]))
@@ -715,9 +700,7 @@ def full_grid_reference(cfg: SolveConfig) -> FullGridResult:
             floc = np.einsum("Etuva,Etuv->Ea", Nloc, wq * fj, optimize=True)
 
             # scatter: global index offsets per element
-            loc1 = np.arange(p1[0])
-            loc2 = np.arange(p1[1])
-            loc3 = np.arange(p1[2])
+            loc1, loc2, loc3 = (np.arange(p) for p in p1)
             s1 = tabs[0].starts[::g[0]]  # (E1,)
             s2 = tabs[1].starts[e2 * g[1]]
             s3 = tabs[2].starts[e3 * g[2]]

@@ -186,8 +186,9 @@ class GridEvaluator:
     def shape(self):
         return tuple(a.size for a in self.axes_points)
 
-    def _sums(self, axis, fixed, pointwise):
-        """The homogeneous sums (4, 4, N) for the rows of ``fixed``.
+    def _sums(self, axis, fixed, pointwise, out=None):
+        """The homogeneous sums (4, 4, N) for the rows of ``fixed``, in the
+        leading 16 N elements of the flat buffer ``out`` if one is given.
 
         Entry [k, 0] is the row h_k (the sum of basis products times w P_k,
         or times w for k = 3) and [k, 1 + d] its derivative along direction
@@ -206,23 +207,25 @@ class GridEvaluator:
         M = fixed.shape[0]
         G = (W.reshape(3 * M, -1) @ self._nets[axis]).reshape(3, M, -1, 4)
         V, D = self._rows[axis]
+        N = M if pointwise else M * V.shape[0]
+        out = np.empty(16 * N) if out is None else out[: 16 * N]
         # out[1 + d, k] is the row of d h_k / d xi_d, out[0, k] that of h_k
         if pointwise:
             V, D = V[fixed[:, axis]], D[fixed[:, axis]]
-            out = np.empty((4, 4, M))
+            out = out.reshape(4, 4, M)
             out[0], out[1 + b], out[1 + c] = np.einsum("na,tnax->txn", V, G)
             out[1 + axis] = np.einsum("na,nax->xn", D, G[0])
         else:
             S = G.transpose(0, 3, 1, 2).reshape(3, 4 * M, -1)  # S[t]: rows (k, m)
-            out = np.empty((4, 4 * M, V.shape[0]))
+            out = out.reshape(4, 4 * M, V.shape[0])
             for t, slot in enumerate((0, 1 + b, 1 + c)):
                 np.matmul(S[t], V.T, out=out[slot])
             np.matmul(S[0], D.T, out=out[1 + axis])
         return out.reshape(4, 4, -1).swapaxes(0, 1)
 
-    def _evaluate(self, axis, fixed, pointwise) -> MapEval:
+    def _evaluate(self, axis, fixed, pointwise, out=None) -> MapEval:
         """The :class:`MapEval` of the sums of :meth:`_sums`, formed in place."""
-        S = self._sums(axis, np.asarray(fixed, dtype=np.intp), pointwise)
+        S = self._sums(axis, np.asarray(fixed, dtype=np.intp), pointwise, out)
         w, x, A = S[3, 0], S[:3, 0], S[:3, 1:]
         x /= w
         A -= x[:, None] * S[3, 1:]  # d(h_i / w) w = dh_i - x_i dw
@@ -232,14 +235,15 @@ class GridEvaluator:
         """The map at the grid multi-indices ``idx`` (N, 3)."""
         return self._evaluate(0, idx, pointwise=True)
 
-    def along(self, axis: int, fixed) -> MapEval:
+    def along(self, axis: int, fixed, out=None) -> MapEval:
         """The map on whole grid lines along ``axis``.
 
         Row m of ``fixed`` (M, 3) anchors the line through the grid in the
         two other directions; its ``axis`` column is ignored. The M * nq
         points come line by line, where nq is the grid size along ``axis``.
+        The result is formed in ``out``, if given, as in :meth:`_sums`.
         """
-        return self._evaluate(axis, fixed, pointwise=False)
+        return self._evaluate(axis, fixed, False, out)
 
     def jacobians(self, idx):
         """Jacobians (N, 3, 3) and physical points (N, 3) for ``idx``."""

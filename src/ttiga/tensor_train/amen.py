@@ -26,7 +26,9 @@ M_k banded (half-bandwidth p), and the core's shape alone picks its solver:
   both sides the preconditioner is the exact inverse. This is the fast
   diagonalization of Lynch, Rice & Thomas (Numer. Math. 6, 1964) applied to
   the local Kronecker sum; ``amen_solve2``'s ``cjacobi`` is the special case
-  of identity frames.
+  of identity frames. The CG loop keeps x, r, p and one work vector.
+
+Both kinds of band are built column-major and factored in place by LAPACK.
 
 A half-sweep starts at the core where the previous one ended, with the same
 interfaces and right-hand side, so that core's solution is reused.
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
+from numpy.lib.stride_tricks import as_strided
 
 # tt_matvec and tt_sub are not called here; they stay importable because the
 # benchmark's layer trace (perfbench/layertrace.py) wraps them by name
@@ -91,6 +93,7 @@ class AmenResult:
     residual: float
     converged: bool
     sweeps: int
+    cg_iters: int  # total PCG iterations over every middle-core solve
 
     @property
     def ranks(self):
@@ -223,17 +226,18 @@ def _residual_norm(ops, f: TtTensor, u) -> float:
     return math.sqrt(sq)
 
 
-def _banded_solver(ab: np.ndarray):
-    """Solve callable for the symmetric matrix with lower band ``ab``.
-
-    ``ab[m, j]`` holds entry (j + m, j). The band is Cholesky-factored once;
-    a matrix that is not positive definite falls back to a pivoted LU of
-    the mirrored full band.
+def _banded_solver(build):
+    """Solve callable for the symmetric matrix with lower band ``build()``,
+    ``ab[m, j]`` = entry (j + m, j), column-major: Cholesky-factored once, in
+    place. A matrix that is not positive definite falls back to a pivoted LU
+    of the mirrored full band, built again since the failed one overwrote it.
     """
+    ab = build()
     try:
-        c = sla.cholesky_banded(ab, lower=True, check_finite=False)
+        c = sla.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
         return lambda b: sla.cho_solve_banded((c, True), b, check_finite=False)
     except np.linalg.LinAlgError:
+        ab = build()
         bw = ab.shape[0] - 1
         full = np.zeros((2 * bw + 1, ab.shape[1]))
         full[bw:] = ab
@@ -277,8 +281,9 @@ class _LocalSystem:
         self.shape3 = (phiL.shape[2], op.n, phiR.shape[2])
         self.size = int(np.prod(self.shape3))
 
-    def matvec3(self, v):
-        out = np.empty((self.phiL.shape[0], self.op.n, self.phiR.shape[0]))
+    def matvec3(self, v, out=None):
+        if out is None:
+            out = np.empty((self.phiL.shape[0], self.op.n, self.phiR.shape[0]))
         for i0, i1, Y in _band_blocks(self.op.fwd, self.phiL, v.transpose(1, 2, 0)):
             Y = np.tensordot(Y, self.phiR, axes=([1, 3], [2, 1]))  # (i, x, z)
             out[:, i0:i1] = Y.transpose(1, 0, 2)
@@ -289,21 +294,22 @@ class _LocalSystem:
 
         With R = r0 r1 unknowns per mode index the half-bandwidth is
         (hb + 1) R - 1; entry (j + m, xz), (j, yw) sits at band row
-        m R + xz - yw, column j R + yw.
+        m R + xz - yw, column j R + yw: the blocks of one m are one strided
+        view of the column-major band, whose m = 0 upper halves are left out.
         """
         r0, n, r1 = self.shape3
         R = r0 * r1
-        ab = np.zeros(((self.op.hb + 1) * R, n * R))
-        e = np.arange(R)
+        ab = np.zeros(((self.op.hb + 1) * R, n * R), order="F")
+        row, col = ab.strides
+        low = np.tril_indices(R)
         for m in range(self.op.hb + 1):
             blocks = np.einsum(
                 "xay,nab,zbw->nxzyw", self.phiL, self.op.lower(m), self.phiR,
                 optimize=True,
             ).reshape(n - m, R, R)
-            rows = m * R + e[:, None] - e[None, :]
-            cols = (np.arange(n - m) * R)[:, None, None] + np.tile(e, (R, 1))
-            keep = rows >= 0  # the upper half of the m = 0 blocks
-            ab[rows[keep], cols[:, keep]] = blocks[:, keep]
+            view = as_strided(ab[m * R:], (n - m, R, R), (R * col, row, col - row))
+            sel = np.s_[:] if m else np.s_[:, low[0], low[1]]
+            view[sel] = blocks[sel]
         return ab
 
     def block_jacobi_band(self):
@@ -317,7 +323,7 @@ class _LocalSystem:
         r0, n, r1 = self.shape3
         dL = np.einsum("xax->xa", self.phiL)
         dR = np.einsum("zbz->zb", self.phiR)
-        ab = np.zeros((self.op.hb + 1, r0 * r1 * n))
+        ab = np.zeros((self.op.hb + 1, r0 * r1 * n), order="F")
         for m in range(self.op.hb + 1):
             ab[m].reshape(r0, r1, n)[:, :, : n - m] = np.einsum(
                 "xa,nab,zb->xzn", dL, self.op.lower(m), dR, optimize=True
@@ -348,8 +354,8 @@ class _LocalSystem:
         )
 
     def preconditioner(self):
-        """P^-1 as a callable on flat (x, i, z) vectors: block Jacobi in the
-        frames of :meth:`frames`.
+        """P^-1 as a callable ``apply(v, out=None)`` on flat (x, i, z)
+        vectors: block Jacobi in the frames of :meth:`frames`.
 
         With Q = Q_L (x) I (x) Q_R, P^-1 = Q B^-1 Q^T, where B holds the
         (x, z) diagonal blocks of Q^T A Q, factored once; P is SPD by
@@ -362,14 +368,16 @@ class _LocalSystem:
             self.op,
             np.einsum("zp,zbw,wq->pbq", QR, self.phiR, QR, optimize=True),
         )
-        blocks = _banded_solver(rot.block_jacobi_band())
+        blocks = _banded_solver(rot.block_jacobi_band)
 
-        def apply(v):
+        def apply(v, out=None):
             w = (QL.T @ v.reshape(r0, n * r1)).reshape(r0 * n, r1) @ QR
             w = w.reshape(r0, n, r1).transpose(0, 2, 1).ravel()
             y = blocks(w).reshape(r0, r1, n).transpose(0, 2, 1)
-            y = (QL @ y.reshape(r0, n * r1)).reshape(r0 * n, r1) @ QR.T
-            return y.ravel()
+            y = (QL @ y.reshape(r0, n * r1)).reshape(r0 * n, r1)
+            out = np.empty(v.size) if out is None else out
+            np.matmul(y, QR.T, out=out.reshape(r0 * n, r1))
+            return out
 
         return apply
 
@@ -377,38 +385,37 @@ class _LocalSystem:
         """Local solution and its CG iteration count (None when direct).
 
         A core with a unit rank on either side is solved directly through
-        its mode-major band; any other core by CG preconditioned with
-        :meth:`preconditioner`.
+        its mode-major band; any other core by CG (Saad, *Iterative Methods
+        for Sparse Linear Systems*, 2003, Alg. 9.1) preconditioned with
+        :meth:`preconditioner`, from ``x0`` (zero if None) until ||r|| <
+        max(rtol, 1e-14) ||b||. Its one work vector holds M r, then A p.
         """
         r0, n, r1 = self.shape3
         if min(r0, r1) == 1:
-            x = _banded_solver(self.mode_major_band())(
-                rhs3.transpose(1, 0, 2).ravel()
-            )
+            x = _banded_solver(self.mode_major_band)(rhs3.transpose(1, 0, 2).ravel())
             return x.reshape(n, r0, r1).transpose(1, 0, 2), None
 
-        A = spla.LinearOperator(
-            (self.size, self.size),
-            matvec=lambda v: self.matvec3(v.reshape(self.shape3)).ravel(),
-        )
-        M = spla.LinearOperator((self.size, self.size), matvec=self.preconditioner())
-        iters = 0
-
-        def count(_):
-            nonlocal iters
-            iters += 1
-
-        x, _ = spla.cg(
-            A,
-            rhs3.ravel(),
-            x0=None if x0 is None else x0.ravel(),
-            rtol=max(rtol, 1e-14),
-            atol=0.0,
-            maxiter=_CG_MAXITER,
-            M=M,
-            callback=count,
-        )
-        return x.reshape(self.shape3), iters
+        b = rhs3.ravel()
+        tol = max(rtol, 1e-14) * np.linalg.norm(b)
+        if tol == 0.0:
+            return np.zeros(self.shape3), 0
+        precondition = self.preconditioner()
+        w = np.empty(self.size)
+        w3 = w.reshape(self.shape3)
+        x = np.zeros(self.size) if x0 is None else x0.flatten()
+        r = b.copy() if x0 is None else b - self.matvec3(x0, out=w3).ravel()
+        p, rho_prev = np.zeros(self.size), 1.0  # so that the first p is M r
+        for it in range(_CG_MAXITER):
+            if np.linalg.norm(r) < tol:
+                return x.reshape(self.shape3), it
+            rho = np.dot(r, precondition(r, out=w))
+            p *= rho / rho_prev
+            p += w
+            alpha = rho / np.dot(p, self.matvec3(p.reshape(w3.shape), out=w3).ravel())
+            r -= np.multiply(w, alpha, out=w)
+            x += np.multiply(p, alpha, out=w)
+            rho_prev = rho
+        return x.reshape(self.shape3), _CG_MAXITER
 
 
 def _first_passing(passes, top: int, guess: int) -> int:
@@ -516,7 +523,7 @@ def amen_solve(
 
     fnorm = tt_norm(f)
     if fnorm == 0.0:
-        return AmenResult(TtTensor.zeros(sizes), 0.0, True, 0)
+        return AmenResult(TtTensor.zeros(sizes), 0.0, True, 0, 0)
 
     ops = [_OpCore(M) for M in A.cores]
 
@@ -546,7 +553,7 @@ def amen_solve(
     solved = None
     rel_res = None  # exact relative residual of the current iterate
     converged = False
-    sweeps = 0
+    sweeps = cg_sum = 0
 
     while not converged and sweeps < opts.max_sweeps:
         sweeps += 1
@@ -605,6 +612,7 @@ def amen_solve(
                     envs, src, dst = ((uR, u), (zR, z)), k + 1, k
                 for env, V in envs:
                     env[dst] = _env_step(env[src], V[k], u[k], ops[k], F, forward)
+            cg_sum += cg_iters
             rel_res = None
             log.debug(
                 "amen sweep %d %s: est=%.3e pre_res=%.3e ranks=%s banded=%d "
@@ -624,4 +632,4 @@ def amen_solve(
 
     if rel_res is None:
         rel_res = exact_residual()
-    return AmenResult(TtTensor(u), float(rel_res), bool(rel_res <= eps), sweeps)
+    return AmenResult(TtTensor(u), float(rel_res), bool(rel_res <= eps), sweeps, cg_sum)

@@ -359,6 +359,40 @@ class TestBenchCommand:
         assert rows[1]["status"].startswith("failed: ConfigError: ")
         assert "at least one element" in rows[1]["status"]
 
+    @pytest.mark.parametrize("elements", [None, [0]], ids=["null", "zero"])
+    def test_every_rung_rejected_exits_1(self, tmp_path, capsys, elements):
+        """A bench whose every rung is rejected before solving is bad input:
+        exit 1 with one error line, not 2, the code for non-convergence.
+        Each rung is still recorded in the CSV."""
+        doc = {
+            "output_dir": str(tmp_path / "bench"),
+            "degree": 1,
+            "elements": elements,
+            "geometries": ["unit_cube"],
+        }
+        cfg = write_config(tmp_path / "bench.json", doc)
+        assert main(["bench", "--config", str(cfg)]) == 1
+        (row,) = read_csv(tmp_path / "bench" / "bench.csv")
+        assert row["status"].startswith("failed: ConfigError: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: every bench run was rejected: ")
+        assert err.count("\n") == 1
+
+    def test_unconverged_rung_exits_2(self, tmp_path):
+        # a rung that ran and did not converge keeps exit code 2
+        doc = {
+            "output_dir": str(tmp_path / "bench"),
+            "degree": 1,
+            "elements": [2, 0],
+            "geometries": ["unit_cube"],
+            "eps_solve": 1e-300,
+        }
+        cfg = write_config(tmp_path / "bench.json", doc)
+        assert main(["bench", "--config", str(cfg)]) == 2
+        ok, bad = read_csv(tmp_path / "bench" / "bench.csv")
+        assert ok["status"] == "no-convergence"
+        assert bad["status"].startswith("failed: ConfigError: ")
+
     def test_elements_not_a_list(self, tmp_path, capsys):
         """A ladder that is not a list is one rung: a bad bench rung is
         recorded in the CSV, and a bad crossover rung is a config error."""

@@ -277,6 +277,21 @@ class TestLines:
             assert np.all(np.abs(m.det - ref) <= 1e-13 * np.abs(ref))
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_lines_into_a_workspace(self, axis):
+        """With a buffer, the sums go to its leading elements, and a smaller
+        block reuses them; the map is bit for bit that of fresh arrays."""
+        ev = GridEvaluator(make_geometry("quarter_torus"), _gauss_axes((5, 4, 3)))
+        rng = np.random.default_rng(50 + axis)
+        fixed = np.stack([rng.integers(0, n, 6) for n in ev.shape], axis=1)
+        buf = np.full(16 * 6 * ev.shape[axis] + 5, np.nan)
+        for rows in (fixed, fixed[:4]):
+            m, ref = ev.along(axis, rows, out=buf), ev.along(axis, rows)
+            assert np.shares_memory(m.A, buf) and np.shares_memory(m.x, buf)
+            for got, want in zip(m, ref):
+                assert np.array_equal(got, want)
+        assert np.isnan(buf[-5:]).all()
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize(
         "name,params",
         [(name, {}) for name in GEOMETRY_NAMES] + [("quarter_torus", {"R": 4.0})],

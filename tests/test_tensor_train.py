@@ -768,6 +768,68 @@ class TestLocalSolve:
         ref = np.linalg.solve(B, rhs3.ravel())
         assert np.linalg.norm(x3.ravel() - ref) <= 1e-8 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["zero", "warm"])
+    def test_pcg_application_counts(self, monkeypatch, warm):
+        """Each PCG iteration applies the operator and the preconditioner
+        once each; a warm start adds one operator application for its first
+        residual, and neither is applied to probe its dtype."""
+        rng = np.random.default_rng(64)
+        phiL, M, phiR, B = random_local_system(3, 3, 10, 4, 2, 2, rng)
+        sys_ = amen._LocalSystem(phiL, op_core(M, 2), phiR)
+        counts = {"A": 0, "M": 0}
+        matvec3, preconditioner = sys_.matvec3, sys_.preconditioner
+
+        def counted_matvec3(v, out=None):
+            counts["A"] += 1
+            return matvec3(v, out=out)
+
+        def counted_preconditioner():
+            apply = preconditioner()
+
+            def counted(v, out=None):
+                counts["M"] += 1
+                return apply(v, out=out)
+
+            return counted
+
+        monkeypatch.setattr(sys_, "matvec3", counted_matvec3)
+        monkeypatch.setattr(sys_, "preconditioner", counted_preconditioner)
+        rhs3 = rng.standard_normal(sys_.shape3)
+        x0 = rng.standard_normal(sys_.shape3) if warm else None
+        x3, iters = sys_.solve(rhs3, x0, 1e-10)
+        assert iters > 2  # three and four slices: the preconditioner is inexact
+        assert counts == {"A": iters + warm, "M": iters}
+        ref = np.linalg.solve(B, rhs3.ravel())
+        assert np.linalg.norm(x3.ravel() - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 4), st.integers(1, 4), st.integers(1, 4), st.integers(2, 4),
+        st.integers(3, 10), st.integers(0, 2), st.booleans(), st.integers(0, 2**32 - 1),
+    )
+    def test_pcg_matches_dense_solve(self, r0, a, b, r1, n, hb, warm, seed):
+        # from zero or a warm start, PCG stops at its relative residual
+        rng = np.random.default_rng(seed)
+        phiL, M, phiR, B = random_local_system(r0, a, n, b, r1, hb, rng)
+        sys_ = amen._LocalSystem(phiL, op_core(M, hb), phiR)
+        rhs3 = rng.standard_normal(sys_.shape3)
+        x0 = rng.standard_normal(sys_.shape3) if warm else None
+        x3, iters = sys_.solve(rhs3, x0, 1e-12)
+        assert 0 < iters < amen._CG_MAXITER
+        ref = np.linalg.solve(B, rhs3.ravel())
+        assert np.linalg.norm(x3.ravel() - ref) <= 1e-7 * np.linalg.norm(ref)
+        x3, _ = sys_.solve(rhs3, x0, 1e-6)
+        res = np.linalg.norm(B @ x3.ravel() - rhs3.ravel())
+        assert res <= 1.001e-6 * np.linalg.norm(rhs3)
+
+    def test_pcg_stops_at_maxiter(self, monkeypatch):
+        monkeypatch.setattr(amen, "_CG_MAXITER", 2)
+        rng = np.random.default_rng(65)
+        phiL, M, phiR, _ = random_local_system(3, 3, 10, 4, 2, 2, rng)
+        sys_ = amen._LocalSystem(phiL, op_core(M, 2), phiR)
+        rhs3 = rng.standard_normal(sys_.shape3)
+        assert sys_.solve(rhs3, None, 1e-12)[1] == 2
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(2, 4), st.integers(1, 2), st.integers(1, 2), st.integers(2, 4),
@@ -919,10 +981,13 @@ class TestBandKernels:
         Bm = Bm.reshape(n * R, n * R)
         ab = sys_.mode_major_band()
         assert ab.shape == ((hb + 1) * R, n * R)
+        assert ab.flags.f_contiguous  # LAPACK's layout: factored in place
         for k in range(ab.shape[0]):
             assert close(ab[k, : n * R - k], np.diagonal(Bm, -k))
         # block Jacobi: the (x, z) diagonal blocks, one after the other
-        ab = sys_.block_jacobi_band().reshape(hb + 1, r0, r1, n)
+        ab = sys_.block_jacobi_band()
+        assert ab.flags.f_contiguous
+        ab = ab.reshape(hb + 1, r0, r1, n)
         Bt = B.reshape(r0, n, r1, r0, n, r1)
         for xx in range(r0):
             for zz in range(r1):
@@ -1030,6 +1095,37 @@ class TestMemoryGuards:
             return amen._env_step(env, U, U, ops[1], f.cores[1], forward)
 
         assert peak_bytes(step) < 5.6e6
+
+    def spd_system(self, r0, a, b, r1, rng):
+        """SPD local system at these shapes: slice (0, 0) is
+        I (x) tridiag(-1, 6, -1) (x) I, and every other slice a small
+        symmetric perturbation."""
+        def sym(m):
+            X = rng.standard_normal((m, m))
+            return 0.01 * (X + X.T)
+
+        phiL = np.stack([np.eye(r0)] + [sym(r0) for _ in range(a - 1)], axis=1)
+        phiR = np.stack([np.eye(r1)] + [sym(r1) for _ in range(b - 1)], axis=1)
+        B = np.zeros((a, self.n, 5, b))
+        B[:, :, 2, :] = 0.01 * rng.standard_normal((a, self.n, b))
+        B[0, :, 1:4, 0] = [-1.0, 6.0, -1.0]
+        B[0, 0, 1, 0] = B[0, -1, 3, 0] = 0.0  # columns outside the matrix
+        return amen._LocalSystem(phiL, amen._OpCore(B), phiR)
+
+    def test_edge_core_banded_solve(self):
+        # the band is built column-major and factored in place; a factored
+        # copy and index arrays as large as the blocks took 2.4x
+        sys_ = self.spd_system(1, 1, 2, 24, np.random.default_rng(91))
+        rhs3 = np.random.default_rng(92).standard_normal(sys_.shape3)
+        band = 3 * 24 * self.n * 24 * 8
+        assert peak_bytes(lambda: sys_.solve(rhs3, None, 1e-8)) <= 1.9 * band
+
+    def test_middle_core_pcg_solve(self):
+        # one PCG loop in fixed buffers; scipy's cg with two LinearOperators
+        # peaked at 7.2 MB
+        sys_ = self.spd_system(24, 2, 9, 23, np.random.default_rng(93))
+        rhs3 = np.random.default_rng(94).standard_normal(sys_.shape3)
+        assert peak_bytes(lambda: sys_.solve(rhs3, None, 1e-10)) <= 6.6e6
 
 
 def container_bytes(magic, kind, cores):
