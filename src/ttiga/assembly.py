@@ -100,30 +100,21 @@ class Discretization:
         return [t.points for t in self.tables]
 
 
-def build_quadrature(solution_bases, n_gauss=None) -> Discretization:
+def build_quadrature(solution_bases) -> Discretization:
     """Per-span Gauss-Legendre rule, concatenated per direction.
 
-    ``n_gauss`` defaults to degree + 1 points per span, which integrates the
-    polynomial part of every stiffness integrand exactly; the rational
-    geometry factors are controlled by the cross tolerance instead.
+    Each span gets degree + 1 points, which integrates the polynomial part
+    of every stiffness integrand exactly; the rational geometry factors are
+    controlled by the cross tolerance instead.
     """
     solution_bases = tuple(solution_bases)
     if len(solution_bases) != 3:
         raise AssemblyError("need exactly three solution bases")
-    if n_gauss is None:
-        per_dir = [b.degree + 1 for b in solution_bases]
-    elif np.isscalar(n_gauss):
-        per_dir = [int(n_gauss)] * 3
-    else:
-        per_dir = [int(g) for g in n_gauss]
+    per_dir = [b.degree + 1 for b in solution_bases]
     tables = []
     for basis, g in zip(solution_bases, per_dir):
         if basis.is_rational:
             raise AssemblyError("solution bases must be polynomial B-splines")
-        if g < basis.degree + 1:
-            raise AssemblyError(
-                f"need at least degree+1={basis.degree + 1} Gauss points, got {g}"
-            )
         ref_x, ref_w = np.polynomial.legendre.leggauss(g)
         kv = basis.knot_vector
         kn = kv.knots
@@ -224,7 +215,6 @@ def assemble_stiffness(
     disc: Discretization,
     eps_cross: float,
     eps_round: float,
-    rank_cap: int = 64,
     rng: np.random.Generator | None = None,
 ):
     """Assemble the stiffness operator in TT format.
@@ -253,10 +243,7 @@ def assemble_stiffness(
     }
     K = None
     for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
-        res = tt_cross(
-            metric_oracle(ev, i, j), eps_cross, rank_cap=rank_cap, rng=rng,
-            scale=scale,
-        )
+        res = tt_cross(metric_oracle(ev, i, j), eps_cross, rng=rng, scale=scale)
         info["cross_errors"][f"R{i + 1}{j + 1}"] = res.holdout_error
         info["cross_converged"][f"R{i + 1}{j + 1}"] = res.converged
         info["n_evals"] += res.n_evals
@@ -279,7 +266,6 @@ def assemble_load(
     disc: Discretization,
     source,
     eps: float,
-    rank_cap: int = 64,
     rng: np.random.Generator | None = None,
 ):
     """Assemble the volumetric load vector in TT format.
@@ -290,7 +276,7 @@ def assemble_load(
     """
     rng = rng or np.random.default_rng()
     ev = GridEvaluator(patch, disc.quad_axes())
-    res = tt_cross(load_oracle(ev, source), eps, rank_cap=rank_cap, rng=rng)
+    res = tt_cross(load_oracle(ev, source), eps, rng=rng)
     cores = [
         _contract_vector_core(res.tensor.cores[d], disc.tables[d]) for d in range(3)
     ]

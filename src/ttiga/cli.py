@@ -22,6 +22,7 @@ from .driver import (
     DriverError,
     OracleRefusedError,
     SolveConfig,
+    _is_int,
     discretize,
     field_on_grid,
     full_grid_reference,
@@ -73,7 +74,6 @@ _BENCH_FILE_KEYS = {
     "eps_cross",
     "eps_solve",
     "eps_round",
-    "rank_cap",
     "crossover",
 }
 _CROSSOVER_KEYS = {"geometry", "geometry_params", "degree", "elements", "source"}
@@ -153,12 +153,13 @@ def parse_run(doc: dict, default_seed: int | None = None) -> tuple[SolveConfig, 
         kwargs["seed"] = default_seed
     try:
         cfg = SolveConfig(**kwargs)
+        make_geometry(cfg.geometry, cfg.geometry_params)
     except (DriverError, GeometryError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg, doc.get("label")
 
 
-def load_solve_file(path) -> tuple[list, Path, int]:
+def load_solve_file(path) -> tuple[list, Path]:
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -168,8 +169,10 @@ def load_solve_file(path) -> tuple[list, Path, int]:
     if "runs" not in doc or not isinstance(doc["runs"], list) or not doc["runs"]:
         raise ConfigError("experiment file needs a non-empty runs list")
     seed = doc.get("seed", 0)
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     runs = [parse_run(r, default_seed=seed) for r in doc["runs"]]
-    return runs, _output_dir(doc), seed
+    return runs, _output_dir(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +282,7 @@ def cmd_solve(args) -> int:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     if args.field_samples < 0:
         raise ConfigError(f"--field-samples must be at least 0, got {args.field_samples}")
-    runs, out_dir, _ = load_solve_file(args.config)
+    runs, out_dir = load_solve_file(args.config)
     if args.out:
         out_dir = Path(args.out)
     overrides = {
@@ -294,6 +297,9 @@ def cmd_solve(args) -> int:
 
 
 def load_bench_file(path) -> dict:
+    """The bench file with its defaults filled in. Its ``crossover`` entry,
+    when present, becomes the list of ``(elements, SolveConfig)`` rungs, each
+    parsed here, so a bad crossover spec fails before anything runs."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -313,8 +319,21 @@ def load_bench_file(path) -> dict:
             raise ConfigError(f"unknown geometry {g!r}")
     if not isinstance(doc["elements"], list):
         doc["elements"] = [doc["elements"]]
+    for key in ("geometries", "elements"):
+        if not doc[key]:
+            raise ConfigError(f"{key} must not be empty")
     if "crossover" in doc:
         _reject_unknown(doc["crossover"], _CROSSOVER_KEYS, "crossover")
+        spec = dict(doc["crossover"])
+        ladder = spec.pop("elements", [4, 8, 16])
+        if not isinstance(ladder, list):
+            ladder = [ladder]
+        if not ladder:
+            raise ConfigError("crossover elements must not be empty")
+        doc["crossover"] = [
+            (elems, parse_run({**spec, "elements": elems, "seed": doc["seed"]})[0])
+            for elems in ladder
+        ]
     return doc
 
 
@@ -335,8 +354,6 @@ def cmd_bench(args) -> int:
                 "seed": doc["seed"],
                 **eps,
             }
-            if "rank_cap" in doc:
-                run["rank_cap"] = doc["rank_cap"]
             cfg = None
             try:
                 cfg, _ = parse_run(run)
@@ -361,25 +378,19 @@ def cmd_bench(args) -> int:
     write_csv(out_dir / "bench.csv", rows, CSV_COLUMNS + ["status"])
 
     if "crossover" in doc:
-        summary = _crossover_study(doc, out_dir)
+        summary = _crossover_study(doc["crossover"])
         _atomic_write(out_dir / "crossover.json", json.dumps(summary, indent=2))
     if rows and len(rejected) == len(rows):
         raise ConfigError(f"every bench run was rejected: {rejected[0]}")
     return 0 if n_ok >= 1 else 2
 
 
-def _crossover_study(doc, out_dir) -> dict:
+def _crossover_study(rungs) -> dict:
     import time
 
-    cdoc = dict(doc["crossover"])
-    ladder = cdoc.pop("elements", [4, 8, 16])
-    if not isinstance(ladder, list):
-        ladder = [ladder]
     points = []
     largest = None
-    for elems in ladder:
-        run = {"elements": elems, "seed": doc["seed"], **cdoc}
-        cfg, _ = parse_run(run)
+    for elems, cfg in rungs:
         t0 = time.perf_counter()
         rep = solve_poisson(cfg)
         tt_time = time.perf_counter() - t0

@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,6 @@ from .geometry import (
 )
 from .splines import Basis1D, KnotVector, eval_basis, tabulate
 from .tensor_train import (
-    AmenOptions,
     TtTensor,
     amen_solve,
     load_tt,
@@ -185,13 +184,10 @@ class SolveConfig:
     eps_cross: float = 1e-10
     eps_solve: float = 1e-8
     eps_round: float = 1e-10
-    n_gauss: int | None = None
-    rank_cap: int = 64
     bc: BoundarySpec | None = None
     source: str = "zero"
     analytic: str | None = None
     seed: int = 0
-    solver: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name, val in (
@@ -215,29 +211,10 @@ class SolveConfig:
             raise DriverError(
                 f"seed must be a non-negative integer, got {self.seed!r}"
             )
-        if not _is_int(self.rank_cap) or self.rank_cap < 1:
-            raise DriverError(
-                f"rank_cap must be an integer >= 1, got {self.rank_cap!r}"
-            )
-        if self.n_gauss is not None:
-            g = _int_triple("n_gauss", self.n_gauss)
-            if any(n < p + 1 for n, p in zip(g, self.degree)):
-                raise DriverError(
-                    "n_gauss must be at least degree + 1 = "
-                    f"{[p + 1 for p in self.degree]}, got {self.n_gauss!r}"
-                )
         if self.source not in SOURCES:
             raise DriverError(f"unknown source {self.source!r}")
         if self.analytic is not None:
             self._check_analytic()
-        if not isinstance(self.solver, dict):
-            raise DriverError("solver must be an object of AmenOptions fields")
-        unknown = set(self.solver) - {f.name for f in fields(AmenOptions)}
-        if unknown:
-            raise DriverError(f"unknown solver options: {sorted(unknown)}")
-        for name, val in self.solver.items():
-            if type(val) is not int or val < 1:
-                raise DriverError(f"bad value for solver option {name}: {val!r}")
 
     def _check_analytic(self):
         """Reject an analytic solution that does not solve this problem."""
@@ -372,7 +349,7 @@ def discretize(cfg: SolveConfig):
         solution_basis(patch.bases[d], cfg.degree[d], cfg.elements[d])
         for d in range(3)
     )
-    return patch, replace(cfg, bc=bc), build_quadrature(bases, cfg.n_gauss)
+    return patch, replace(cfg, bc=bc), build_quadrature(bases)
 
 
 def _spawn_rngs(seed: int, n: int):
@@ -400,8 +377,6 @@ def cache_key(cfg: SolveConfig, what: str) -> str:
         "geometry_params": cfg.geometry_params,
         "degree": list(cfg.degree),
         "elements": list(cfg.elements),
-        "n_gauss": cfg.n_gauss,
-        "rank_cap": cfg.rank_cap,
         "eps_cross": cfg.eps_cross,
         "seed": cfg.seed,
     }
@@ -554,14 +529,13 @@ def solve_poisson(cfg: SolveConfig) -> SolutionReport:
     rng_K, rng_f = _spawn_rngs(cfg.seed, 2)
     t0 = time.perf_counter()
     K, k_info = _cached(cfg, "K", lambda: assemble_stiffness(
-        patch, disc, cfg.eps_cross, cfg.eps_round, rank_cap=cfg.rank_cap, rng=rng_K
+        patch, disc, cfg.eps_cross, cfg.eps_round, rng=rng_K
     ))
     timings["t_assemble_K_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     f, f_info = _cached(cfg, "f", lambda: assemble_load(
-        patch, disc, SOURCES[cfg.source], cfg.eps_cross,
-        rank_cap=cfg.rank_cap, rng=rng_f,
+        patch, disc, SOURCES[cfg.source], cfg.eps_cross, rng=rng_f
     ))
     timings["t_assemble_f_s"] = time.perf_counter() - t0
 
@@ -570,8 +544,7 @@ def solve_poisson(cfg: SolveConfig) -> SolutionReport:
     timings["t_bc_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    opts = AmenOptions(**cfg.solver)
-    result = amen_solve(system.K, system.f, cfg.eps_solve, opts)
+    result = amen_solve(system.K, system.f, cfg.eps_solve)
     timings["t_solve_s"] = time.perf_counter() - t0
 
     u_full = tt_round(

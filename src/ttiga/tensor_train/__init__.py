@@ -1,6 +1,6 @@
 """Tensor-train vectors, operators, cross interpolation, and linear solver."""
 
-from .amen import AmenOptions, AmenResult, amen_solve
+from .amen import AmenResult, amen_solve
 from .core import (
     TtMatrix,
     TtShapeError,
@@ -18,7 +18,6 @@ from .io import load_tt, save_tt, tt_info
 from .maxvol import MaxvolError, maxvol
 
 __all__ = [
-    "AmenOptions",
     "AmenResult",
     "CrossOracle",
     "CrossResult",

@@ -6,7 +6,7 @@ update the core basis is enriched with a low-rank projection of the current
 residual, which restores global convergence of the alternating scheme
 (Dolgov & Savostyanov, SIAM J. Sci. Comput. 36, 2014). As in their
 ``amen_solve2``, the residual is approximated by a TT z of its own, of rank
-``kick_rank``, whose cores are updated from local projections of f - A u, so
+``_KICK_RANK``, whose cores are updated from local projections of f - A u, so
 no sweep forms the exact residual; one exact residual certifies the result.
 
 Intended for the symmetric positive definite operators produced by the
@@ -63,7 +63,7 @@ from numpy.lib.stride_tricks import as_strided
 # benchmark's layer trace (perfbench/layertrace.py) wraps them by name
 from .core import TtMatrix, TtTensor, _orth_sweep, tt_matvec, tt_norm, tt_round, tt_sub
 
-__all__ = ["AmenOptions", "AmenResult", "amen_solve"]
+__all__ = ["AmenResult", "amen_solve"]
 
 log = logging.getLogger(__name__)
 
@@ -73,18 +73,15 @@ log = logging.getLogger(__name__)
 # cost a half-sweep, which is dearer than several certificates.
 _CERTIFY_MARGIN = 10.0
 _CG_MAXITER = 1500
+# the rank of z, which enriches u, and the sweeps before giving up
+_KICK_RANK = 4
+_MAX_SWEEPS = 50
 # elements in one block of the band kernel's arrays (its column window and
 # its product): blocks of mode rows are sized from it, so no contraction
 # holds a whole (rank, n, rank, rank) intermediate. On quarter_torus e=128 a
 # middle-core block has 3 (certificate) to 18 rows; smaller blocks cost
 # Python overhead per block, larger ones memory
 _BLOCK_ELEMS = 1 << 17
-
-
-@dataclass
-class AmenOptions:
-    kick_rank: int = 4
-    max_sweeps: int = 50
 
 
 @dataclass
@@ -495,29 +492,23 @@ def _estimate(zl, op: _OpCore, F, zr, x3) -> float:
     return float(np.linalg.norm(_residual(zl, op, F, zr, x3)))
 
 
-def amen_solve(
-    A: TtMatrix,
-    f: TtTensor,
-    eps: float,
-    opts: AmenOptions | None = None,
-) -> AmenResult:
+def amen_solve(A: TtMatrix, f: TtTensor, eps: float) -> AmenResult:
     """Solve A u = f to relative residual ``eps`` in TT format.
 
-    The residual is tracked by its own TT z of rank ``kick_rank``, updated
+    The residual is tracked by its own TT z of rank ``_KICK_RANK``, updated
     core by core from projections of f - A u onto z's interfaces; z's
     projections enrich u. A half-sweep ends with the estimate
     ||z-projected residual|| / ||f|| at its end core, and only an estimate
     within ``eps / _CERTIFY_MARGIN`` triggers an exact certificate
     ||f - A u|| / ||f||; a failed certificate means more sweeps. The
     returned solution is the certified iterate and its residual is always
-    exact; non-convergence after ``max_sweeps`` is reported through the
+    exact; non-convergence after ``_MAX_SWEEPS`` is reported through the
     ``converged`` flag rather than an exception.
     """
     if A.row_sizes != f.mode_sizes:
         raise ValueError("operator and right-hand side sizes differ")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    opts = opts or AmenOptions()
     d = A.d
     sizes = f.mode_sizes
 
@@ -530,7 +521,7 @@ def amen_solve(
     u = _orth_sweep(tt_round(f, 0.5, max_rank=2).cores)
     # z's ranks are capped by the mode-size products on either side
     z_ranks = [
-        min(opts.kick_rank, math.prod(sizes[:k]), math.prod(sizes[k:]))
+        min(_KICK_RANK, math.prod(sizes[:k]), math.prod(sizes[k:]))
         for k in range(1, d)
     ]
     z = _orth_sweep(TtTensor.random(sizes, z_ranks, np.random.default_rng(0)).cores)
@@ -555,7 +546,7 @@ def amen_solve(
     converged = False
     sweeps = cg_sum = 0
 
-    while not converged and sweeps < opts.max_sweeps:
+    while not converged and sweeps < _MAX_SWEEPS:
         sweeps += 1
         for forward in (True, False):
             # local accuracy target, in absolute local-residual units

@@ -26,6 +26,9 @@ __all__ = ["CrossOracle", "CrossResult", "tt_cross"]
 log = logging.getLogger(__name__)
 
 _MAX_SWEEPS = 20
+_RANK_CAP = 64
+# random grid entries the train is validated on
+_HOLDOUT = 1000
 
 
 @dataclass(frozen=True)
@@ -124,8 +127,6 @@ def _fiber_matrix(fn: _Counter, left, nk, right, k, d):
 def tt_cross(
     oracle: CrossOracle,
     eps: float,
-    rank_cap: int = 64,
-    holdout_size: int = 1000,
     rng: np.random.Generator | None = None,
     scale: float | None = None,
 ) -> CrossResult:
@@ -134,12 +135,12 @@ def tt_cross(
     Each sweep is a left-to-right half, which builds the row sets and the
     interpolation train Q inv(Q[sel]) ... C_last, then a right-to-left
     half, which builds the column sets and the train C_first inv(Q[sel])^T
-    Q^T ... . The holdout relative root-mean-square error is checked after
-    every half, and the cross stops at the first half that meets ``eps``.
-    The right-to-left half starts from the left-to-right half's last fiber
-    matrix instead of evaluating it again. A sweep that misses ``eps``
-    doubles the ranks for the next one. The cross also stops when the
-    ranks reach ``rank_cap`` or after ``_MAX_SWEEPS`` sweeps; ``sweeps``
+    Q^T ... . The relative root-mean-square error on ``_HOLDOUT`` random
+    entries is checked after every half, and the cross stops at the first
+    half that meets ``eps``. The right-to-left half starts from the
+    left-to-right half's last fiber matrix instead of evaluating it again.
+    A sweep that misses ``eps`` doubles the ranks for the next one. The cross also stops when the
+    ranks reach ``_RANK_CAP`` or after ``_MAX_SWEEPS`` sweeps; ``sweeps``
     counts the sweeps begun. Hitting the cap with error above ``10 * eps``
     flags ``converged=False`` in the result rather than raising.
 
@@ -153,18 +154,12 @@ def tt_cross(
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
     if scale is not None and not np.isfinite(scale):
         raise ValueError(f"scale must be finite, got {scale!r}")
-    if rank_cap < 1:
-        raise ValueError("rank_cap must be at least 1")
-    if holdout_size < 1:
-        raise ValueError("holdout_size must be at least 1")
     rng = rng or np.random.default_rng()
     sizes = tuple(int(n) for n in oracle.mode_sizes)
     d = len(sizes)
     fn = _Counter(oracle)
 
-    hold_idx = np.stack(
-        [rng.integers(0, n, size=holdout_size) for n in sizes], axis=1
-    )
+    hold_idx = np.stack([rng.integers(0, n, size=_HOLDOUT) for n in sizes], axis=1)
     hold_vals = fn(hold_idx)
     hold_rms = float(np.sqrt(np.mean(hold_vals**2)))
     if scale is None or scale <= 0.0:
@@ -175,7 +170,7 @@ def tt_cross(
         return CrossResult(TtTensor.zeros(sizes), err, True, fn.n, 0)
 
     max_rank_at = [
-        min(int(np.prod(sizes[: k + 1])), int(np.prod(sizes[k + 1:])), rank_cap)
+        min(int(np.prod(sizes[: k + 1])), int(np.prod(sizes[k + 1:])), _RANK_CAP)
         for k in range(d - 1)
     ]
     ranks = [1] * (d - 1)

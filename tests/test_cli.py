@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -66,23 +67,41 @@ class TestSolveCommand:
         "solver",
         [{"direct_solve_max": 10}, {"direct_solve_maxx": 10}, {"verbose": True},
          {"kick_rank": "x"}, {"max_sweeps": 0}, {"initial": 1},
-         {"max_rank": 3}, {"cg_maxiter": 10}],
+         {"max_rank": 3}, {"cg_maxiter": 10}, {}, {"kick_rank": 2, "max_sweeps": 20}],
     )
     def test_bad_solver_option_rejected(self, tmp_path, capsys, solver):
+        # AMEn takes no options: a run holding any, even none, is refused
         cfg = write_config(
             tmp_path / "cfg.json", {"runs": [dict(CUBE_RUN, solver=solver)]}
         )
         assert main(["solve", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and next(iter(solver)) in err
+        assert err.startswith("error: unknown keys in run: ['solver']")
 
-    def test_solver_options_applied(self, tmp_path):
+    def test_settings_are_the_documented_ones(self):
+        # a new setting changes these sets and the README's schema together
+        assert {f.name for f in fields(driver.SolveConfig)} == {
+            "geometry", "geometry_params", "degree", "elements", "eps_cross",
+            "eps_solve", "eps_round", "bc", "source", "analytic", "seed",
+        }
+        assert cli._BENCH_FILE_KEYS == {
+            "output_dir", "seed", "degree", "elements", "geometries", "source",
+            "eps_cross", "eps_solve", "eps_round", "crossover",
+        }
+
+    def test_bad_run_fails_before_any_solve(self, tmp_path, monkeypatch, capsys):
+        """A bad geometry in a later run stops the file before the first
+        run is solved."""
+        calls = []
+        monkeypatch.setattr(cli, "solve_poisson", calls.append)
+        bad = {"geometry": "ring", "geometry_params": {"r_in": 2.0}}
         cfg = write_config(
             tmp_path / "cfg.json",
-            {"output_dir": str(tmp_path / "out"),
-             "runs": [dict(CUBE_RUN, solver={"kick_rank": 2, "max_sweeps": 20})]},
+            {"output_dir": str(tmp_path / "out"), "runs": [CUBE_RUN, bad]},
         )
-        assert main(["solve", "--config", str(cfg)]) == 0
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: need 0 < r_in < r_out\n"
+        assert not calls and not (tmp_path / "out").exists()
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         cfg = write_config(
@@ -232,7 +251,10 @@ class TestSolveCommand:
          ("rank_cap", None), ("degree", "x"), ("degree", 1.5), ("degree", True),
          ("elements", [2, 2]), ("elements", 2.0), ("geometry_params", 5)]
         + [(eps, value) for eps in ("eps_cross", "eps_solve", "eps_round")
-           for value in ("1e-8", None, [1], True)],
+           for value in ("1e-8", None, [1], True)]
+        # the quadrature and the cross rank cap are fixed, so even the
+        # values every run used are refused
+        + [("n_gauss", 2), ("n_gauss", None), ("rank_cap", 64)],
     )
     def test_bad_run_value_rejected(self, tmp_path, capsys, field, value):
         cfg = write_config(
@@ -302,9 +324,10 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("n_gauss", 2), ("n_gauss", [3, 2, 4]), ("rank_cap", 1), ("degree", [1, 2, 1]),
+        [("degree", [1, 2, 1]),
          ("bc", {"faces": {"0:0": {"type": "dirichlet", "value": -1.5}}}),
          ("bc", {"faces": {"0:0": {"type": "dirichlet", "value": 0}}})],
+        ids=["degree-value3", "bc-value4", "bc-value5"],
     )
     def test_good_run_value_accepted(self, tmp_path, field, value):
         cfg = write_config(
@@ -394,8 +417,8 @@ class TestBenchCommand:
         assert bad["status"].startswith("failed: ConfigError: ")
 
     def test_elements_not_a_list(self, tmp_path, capsys):
-        """A ladder that is not a list is one rung: a bad bench rung is
-        recorded in the CSV, and a bad crossover rung is a config error."""
+        """A ladder that is not a list is one rung. A bad crossover rung is
+        a config error, found before the bench ladder runs."""
         doc = {
             "output_dir": str(tmp_path / "bench"),
             "degree": 1,
@@ -405,8 +428,7 @@ class TestBenchCommand:
         }
         cfg = write_config(tmp_path / "bench.json", doc)
         assert main(["bench", "--config", str(cfg)]) == 1
-        (row,) = read_csv(tmp_path / "bench" / "bench.csv")
-        assert row["status"].startswith("failed: ConfigError: elements")
+        assert not (tmp_path / "bench").exists()
         err = capsys.readouterr().err
         assert err.startswith("error: elements") and err.count("\n") == 1
 
@@ -424,11 +446,27 @@ class TestBenchCommand:
             ("check", {"crossover": 5}, "crossover must be a JSON object"),
             ("check", {"geometries": "ring"}, "geometries must be a list"),
             ("check", {"output_dir": 5, "runs": [CUBE_RUN]}, "output_dir"),
+            ("solve", {"seed": "x", "runs": [dict(CUBE_RUN, seed=0)]}, "seed must"),
+            ("check", {"seed": -1, "runs": [dict(CUBE_RUN, seed=0)]}, "seed must"),
+            ("check", {"runs": [{"geometry": "torus"}]}, "unknown geometry 'torus'"),
+            ("check", {"runs": [{"geometry": "ring", "geometry_params": {"r_in": 2.0}}]},
+             "r_in < r_out"),
+            ("bench", {"geometries": []}, "geometries must not be empty"),
+            ("bench", {"elements": []}, "elements must not be empty"),
+            ("bench", {"crossover": {"geometry": "unit_cube", "elements": []}},
+             "crossover elements must not be empty"),
+            ("bench", {"crossover": {"geometry": "torus"}}, "unknown geometry 'torus'"),
+            ("check", {"crossover": {"geometry": "torus"}}, "unknown geometry 'torus'"),
+            ("bench", {"geometries": ["ring"], "rank_cap": 64}, "['rank_cap']"),
         ],
         ids=["solve-list", "solve-number", "solve-output-dir", "bench-list",
              "bench-number", "bench-crossover", "bench-output-dir",
              "bench-geometries", "check-crossover", "check-geometries",
-             "check-output-dir"],
+             "check-output-dir", "solve-file-seed", "check-file-seed",
+             "check-geometry-name", "check-geometry-params", "bench-no-geometries",
+             "bench-no-elements", "bench-no-crossover-rungs",
+             "bench-crossover-geometry", "check-crossover-geometry",
+             "bench-rank-cap"],
     )
     def test_malformed_config_file_exits_with_message(
         self, tmp_path, monkeypatch, capsys, command, doc, needle

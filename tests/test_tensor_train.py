@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttiga.tensor_train import amen
+from ttiga.tensor_train import amen, cross
 from ttiga.tensor_train import (
-    AmenOptions,
     CrossOracle,
     MaxvolError,
     TtMatrix,
@@ -346,11 +345,15 @@ def _separable_sum(n_terms):
 class TestHalfSweeps:
     sizes = (9, 7, 6)
 
+    @pytest.fixture(autouse=True)
+    def small_holdout(self, monkeypatch):
+        monkeypatch.setattr(cross, "_HOLDOUT", 100)
+
     def test_rank_one_stops_after_first_forward_half(self):
         n1, n2, n3 = self.sizes
         res = tt_cross(
             CrossOracle(_separable_sum(1), self.sizes), 1e-10,
-            holdout_size=100, rng=np.random.default_rng(0),
+            rng=np.random.default_rng(0),
         )
         # holdout, then one fiber per mode at rank 1; no backward half
         assert res.n_evals == 100 + n1 + n2 + n3
@@ -361,7 +364,7 @@ class TestHalfSweeps:
         n1, n2, n3 = self.sizes
         res = tt_cross(
             CrossOracle(_separable_sum(2), self.sizes), 1e-10,
-            holdout_size=100, rng=np.random.default_rng(0),
+            rng=np.random.default_rng(0),
         )
         # sweep 1 at rank 1: forward n1 + n2 + n3, backward n2 + n1 (its
         # first fiber matrix is the forward half's last); sweep 2's forward
@@ -383,8 +386,7 @@ class TestHalfSweeps:
             return f(idx).reshape(fixed.shape[0], self.sizes[k])
 
         tt_cross(
-            CrossOracle(f, self.sizes, lines), 1e-10,
-            holdout_size=100, rng=np.random.default_rng(0),
+            CrossOracle(f, self.sizes, lines), 1e-10, rng=np.random.default_rng(0)
         )
         # forward mode 0, 1, last mode 2; backward mode 1, 0 (mode 2 reused);
         # forward mode 0, 1, 2
@@ -396,7 +398,7 @@ class TestHalfSweeps:
         with caplog.at_level(logging.DEBUG, logger="ttiga.tensor_train.cross"):
             res = tt_cross(
                 CrossOracle(_separable_sum(2), self.sizes), 1e-10,
-                holdout_size=100, rng=np.random.default_rng(0),
+                rng=np.random.default_rng(0),
             )
         lines = [r.getMessage() for r in caplog.records]
         assert [line.split(":")[0] for line in lines] == [
@@ -409,14 +411,12 @@ class TestHalfSweeps:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"holdout_size": 0},
-            {"holdout_size": -3},
             {"eps": float("nan")},
             {"eps": float("inf")},
             {"scale": float("nan")},
             {"scale": float("inf")},
         ],
-        ids=["holdout0", "holdout-3", "eps_nan", "eps_inf", "scale_nan", "scale_inf"],
+        ids=["eps_nan", "eps_inf", "scale_nan", "scale_inf"],
     )
     def test_bad_arguments_rejected(self, kwargs):
         args = {"eps": 1e-10, "rng": np.random.default_rng(0)}
@@ -523,11 +523,12 @@ class TestAmen:
         assert res.converged
         assert np.all(res.solution.full() == 0.0)
 
-    def test_nonconvergence_flagged(self):
+    def test_nonconvergence_flagged(self, monkeypatch):
+        monkeypatch.setattr(amen, "_MAX_SWEEPS", 1)
         rng = np.random.default_rng(34)
         A = laplacian_tt(16)
         f = tt_round(TtTensor.random((16, 16, 16), (3, 3), rng), 1e-14)
-        res = amen_solve(A, f, 1e-30, AmenOptions(max_sweeps=1))
+        res = amen_solve(A, f, 1e-30)
         assert not res.converged
         assert res.residual > 0
 
@@ -599,7 +600,8 @@ class TestProjectedResidual:
         rng = np.random.default_rng(36)
         A = laplacian_tt(8)
         f = tt_round(TtTensor.random((8, 8, 8), (2, 2), rng), 1e-14)
-        res = amen_solve(A, f, 1e-30, AmenOptions(max_sweeps=3))
+        monkeypatch.setattr(amen, "_MAX_SWEEPS", 3)
+        res = amen_solve(A, f, 1e-30)
         assert not res.converged and res.sweeps == 3
         assert len(calls) == 2 * 3
         assert res.residual == pytest.approx(relative_residual(A, f, res.solution), abs=1e-15)
@@ -609,7 +611,8 @@ class TestProjectedResidual:
         rng = np.random.default_rng(37)
         A = laplacian_tt(16)
         f = tt_round(TtTensor.random((16, 16, 16), (3, 3), rng), 1e-14)
-        res = amen_solve(A, f, 1e-30, AmenOptions(max_sweeps=2))
+        monkeypatch.setattr(amen, "_MAX_SWEEPS", 2)
+        res = amen_solve(A, f, 1e-30)
         assert not res.converged and res.sweeps == 2
         # no estimate reaches 1e-31: one certificate at the end
         assert len(calls) == 1
@@ -628,6 +631,7 @@ class TestProjectedResidual:
             return estimate(zl, op, F, zr, x3)
 
         monkeypatch.setattr(amen, "_estimate", spy)
+        monkeypatch.setattr(amen, "_KICK_RANK", kick_rank)
         rng = np.random.default_rng(38)
         sizes = (2, 2, 2, 2)
         terms = [np.array([[3.0, -1.0], [-1.0, 2.0]]) * (k + 1) for k in range(4)]
@@ -639,7 +643,7 @@ class TestProjectedResidual:
             A = term if A is None else tt_add(A, term)
         A = tt_round(A, 1e-14)
         f = tt_round(TtTensor.random(sizes, (2, 2, 2), rng), 1e-14)
-        res = amen_solve(A, f, 1e-10, AmenOptions(kick_rank=kick_rank))
+        res = amen_solve(A, f, 1e-10)
         assert res.converged
         edge = min(kick_rank, 2)
         assert seen <= {(edge, 1), (1, edge)} and (edge, 1) in seen
