@@ -32,7 +32,6 @@ from .geometry import (
     GridEvaluator,
     _BLOCK,
     _is_finite_real,
-    _line_index,
 )
 from .splines import Basis1D, basis_windows
 from .tensor_train import (
@@ -45,6 +44,7 @@ from .tensor_train import (
     tt_round,
     tt_sub,
 )
+from .tensor_train.cross import _line_index
 
 __all__ = [
     "AssemblyError",

@@ -466,8 +466,21 @@ def cmd_dump(args) -> int:
 # ---------------------------------------------------------------------------
 # artifact schema checks
 
+_NUMBER = (int, float)
+
+
+def _check_fields(doc: dict, required: dict, what: str):
+    """Each ``required`` key is in ``doc`` with a value of its type; a bool is no number."""
+    for key, typ in required.items():
+        if key not in doc:
+            raise ConfigError(f"{what} is missing {key!r}")
+        val = doc[key]
+        if not isinstance(val, typ) or (isinstance(val, bool) and typ is not bool):
+            raise ConfigError(f"{what} field {key!r} has the wrong type")
+
+
 def _check_report(doc: dict):
-    required = {
+    _check_fields(doc, {
         "geometry": str,
         "degree": list,
         "elements": list,
@@ -480,21 +493,33 @@ def _check_report(doc: dict):
         "ranks_K": list,
         "ranks_f": list,
         "ranks_u": list,
-        "compression_K": (int, float),
-        "compression_f": (int, float),
-        "compression_u": (int, float),
+        "compression_K": _NUMBER,
+        "compression_f": _NUMBER,
+        "compression_u": _NUMBER,
         "sweeps": int,
         "cg_iters": int,
         "timings": dict,
-    }
-    for key, typ in required.items():
-        if key not in doc:
-            raise ConfigError(f"report is missing {key!r}")
-        if not isinstance(doc[key], typ):
-            raise ConfigError(f"report field {key!r} has the wrong type")
-    for key in ("l2_error", "rel_l2_error"):
-        if doc.get(key) is not None and not isinstance(doc[key], (int, float)):
-            raise ConfigError(f"{key} must be a number or null")
+    }, "report")
+    nullable = ("l2_error", "rel_l2_error")
+    _check_fields(doc, {k: _NUMBER for k in nullable if doc.get(k) is not None}, "report")
+
+
+def _check_crossover(doc: dict):
+    """The summary :func:`_crossover_study` writes."""
+    rungs = doc["ladder"]
+    if not (isinstance(rungs, list) and rungs and all(isinstance(e, dict) for e in rungs)):
+        raise ConfigError("crossover ladder must be a non-empty list of objects")
+    for m, entry in enumerate(rungs):
+        what = f"crossover ladder entry {m}"
+        _check_fields(entry, {
+            "dofs": int, "tt_time_s": _NUMBER, "tt_residual": _NUMBER, "status": str,
+        }, what)
+        if entry["status"] not in ("ok", "oracle-refused"):
+            raise ConfigError(f"{what} has unknown status {entry['status']!r}")
+        if entry["status"] == "ok":
+            _check_fields(entry, {"full_grid_time_s": _NUMBER, "u_rel_diff": _NUMBER}, what)
+    optional = ("largest_oracle_dofs", "time_ratio_full_over_tt")
+    _check_fields(doc, {k: _NUMBER for k in optional if k in doc}, "crossover summary")
 
 
 # every column after the run's geometry, p and elems holds a number
@@ -583,6 +608,7 @@ def check_artifact(path) -> str:
                 raise ConfigError(f"invalid patch JSON: {exc}") from exc
             return "geometry-patch"
         if isinstance(doc, dict) and "ladder" in doc:
+            _check_crossover(doc)
             return "crossover-summary"
         if isinstance(doc, dict) and "residual" in doc:
             _check_report(doc)

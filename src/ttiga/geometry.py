@@ -312,16 +312,6 @@ def _det_rows(R) -> np.ndarray:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _line_index(shape, axis: int, fixed) -> np.ndarray:
-    """Grid multi-indices (M*nq, 3) of the points :meth:`GridEvaluator.along`
-    returns for ``fixed``, in the same order."""
-    fixed = np.asarray(fixed, dtype=np.intp)
-    nq = shape[axis]
-    idx = np.repeat(fixed, nq, axis=0)
-    idx[:, axis] = np.tile(np.arange(nq), fixed.shape[0])
-    return idx
-
-
 # ---------------------------------------------------------------------------
 # construction helpers
 

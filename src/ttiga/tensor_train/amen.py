@@ -59,9 +59,10 @@ import numpy as np
 import scipy.linalg as sla
 from numpy.lib.stride_tricks import as_strided
 
+from .core import TtMatrix, TtTensor, _fold, _orth_sweep, _unfold, tt_norm, tt_round
 # tt_matvec and tt_sub are not called here; they stay importable because the
 # benchmark's layer trace (perfbench/layertrace.py) wraps them by name
-from .core import TtMatrix, TtTensor, _orth_sweep, tt_matvec, tt_norm, tt_round, tt_sub
+from .core import tt_matvec, tt_sub  # noqa: F401
 
 __all__ = ["AmenResult", "amen_solve"]
 
@@ -434,19 +435,6 @@ def _first_passing(passes, top: int, guess: int) -> int:
             lo, q = q, q + step
         step *= 2
     return hi
-
-
-def _unfold(G, forward: bool):
-    """Core as the matrix whose columns a sweep in this direction
-    orthonormalizes: (r0 n, r1) forward, (n r1, r0) backward."""
-    r0, n, r1 = G.shape
-    return G.reshape(r0 * n, r1) if forward else G.reshape(r0, n * r1).T
-
-
-def _fold(mat, shape, forward: bool):
-    """Inverse of :func:`_unfold`, for any number of columns."""
-    r0, n, r1 = shape
-    return mat.reshape(r0, n, -1) if forward else mat.T.reshape(-1, n, r1)
 
 
 def _truncate_by_residual(

@@ -41,6 +41,8 @@ def _check_chain(cores, order):
     for k, G in enumerate(cores):
         if G.ndim != order:
             raise TtShapeError(f"core {k} must have {order} axes, got {G.ndim}")
+        if 0 in G.shape:
+            raise TtShapeError(f"core {k} has an empty axis: shape {G.shape}")
     if cores[0].shape[0] != 1 or cores[-1].shape[-1] != 1:
         raise TtShapeError("boundary ranks must be 1")
     for k in range(len(cores) - 1):
@@ -244,8 +246,10 @@ def _same_kind(a, b):
 
 
 def tt_add(a, b):
-    """Exact sum by block-diagonal core concatenation (ranks add); the
-    narrower of two operator bands is padded with zero diagonals."""
+    """Exact sum, ranks adding: each core holds a's in its leading block and
+    b's, added, in its trailing one, and the boundary ranks stay 1, so the
+    cores of one-core trains add up. The narrower of two operator bands is
+    padded with zero diagonals."""
     _same_kind(a, b)
     if isinstance(a, TtMatrix):
         w = [max(wa, wb) for wa, wb in zip(a.band_widths, b.band_widths)]
@@ -263,14 +267,9 @@ def tt_add(a, b):
     for k, (Ga, Gb) in enumerate(zip(ca, cb)):
         ra0, n, ra1 = Ga.shape
         rb0, _, rb1 = Gb.shape
-        if k == 0:
-            G = np.concatenate([Ga, Gb], axis=2)
-        elif k == d - 1:
-            G = np.concatenate([Ga, Gb], axis=0)
-        else:
-            G = np.zeros((ra0 + rb0, n, ra1 + rb1))
-            G[:ra0, :, :ra1] = Ga
-            G[ra0:, :, ra1:] = Gb
+        G = np.zeros((1 if k == 0 else ra0 + rb0, n, 1 if k == d - 1 else ra1 + rb1))
+        G[:ra0, :, :ra1] = Ga
+        G[-rb0:, :, -rb1:] += Gb
         out.append(G)
     return _from_vector_view(out, tag)
 
@@ -286,6 +285,19 @@ def tt_scale(a, c: float):
     return _from_vector_view([cores[0] * float(c)] + cores[1:], tag)
 
 
+def _unfold(G, forward: bool):
+    """Core as the matrix whose columns a sweep in this direction
+    orthonormalizes: (r0 n, r1) forward, (n r1, r0) backward."""
+    r0, n, r1 = G.shape
+    return G.reshape(r0 * n, r1) if forward else G.reshape(r0, n * r1).T
+
+
+def _fold(mat, shape, forward: bool):
+    """Inverse of :func:`_unfold`, for any number of columns."""
+    r0, n, r1 = shape
+    return mat.reshape(r0, n, -1) if forward else mat.T.reshape(-1, n, r1)
+
+
 def _orth_sweep(cores):
     """Right-to-left QR sweep over vector-view cores.
 
@@ -294,9 +306,8 @@ def _orth_sweep(cores):
     """
     cores = list(cores)
     for k in range(len(cores) - 1, 0, -1):
-        r0, n, r1 = cores[k].shape
-        Q, R = np.linalg.qr(cores[k].reshape(r0, n * r1).T)
-        cores[k] = Q.T.reshape(-1, n, r1)
+        Q, R = np.linalg.qr(_unfold(cores[k], False))
+        cores[k] = _fold(Q, cores[k].shape, False)
         cores[k - 1] = np.tensordot(cores[k - 1], R.T, axes=([2], [0]))
     return cores
 
@@ -306,16 +317,9 @@ def tt_norm(a) -> float:
 
     Unlike the square root of a chain-contracted inner product, this does
     not suffer cancellation when the represented tensor is small relative
-    to its cores, which matters for residual certificates. Only the R
-    factors of the sweep are formed.
+    to its cores, which matters for residual certificates.
     """
-    cores, _ = _to_vector_view(a)
-    G = cores[-1]
-    for prev in reversed(cores[:-1]):
-        r0, n, r1 = G.shape
-        R = np.linalg.qr(G.reshape(r0, n * r1).T, mode="r")
-        G = np.tensordot(prev, R.T, axes=([2], [0]))
-    return float(np.linalg.norm(G))
+    return float(np.linalg.norm(_orth_sweep(_to_vector_view(a)[0])[0]))
 
 
 def tt_matvec(A: TtMatrix, x: TtTensor) -> TtTensor:
@@ -342,14 +346,12 @@ def tt_matvec(A: TtMatrix, x: TtTensor) -> TtTensor:
 
 def _chop(s: np.ndarray, delta: float, max_rank: int | None = None) -> int:
     """Largest truncation with Frobenius tail <= delta; rank at least 1."""
-    if s.size == 0:
-        return 1
     tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tails[r] = ||s[r:]||
     keep = int(np.searchsorted(tails <= delta, True))
     keep = max(1, keep)
     if max_rank is not None:
         keep = min(keep, max_rank)
-    return min(keep, s.size)
+    return keep
 
 
 def tt_round(t, eps: float, max_rank: int | None = None):
@@ -357,27 +359,25 @@ def tt_round(t, eps: float, max_rank: int | None = None):
 
     A right-to-left QR sweep orthogonalizes the chain, after which the total
     norm is known; a left-to-right sweep then truncates each bond by SVD with
-    the budget ``eps * ||t|| / sqrt(d - 1)``.
+    the budget ``eps * ||t|| / sqrt(max(d - 1, 1))``; a one-core train
+    comes back as it is.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     cores, tag = _to_vector_view(t)
     d = len(cores)
-    if d == 1:
-        return _from_vector_view([G.copy() for G in cores], tag)
     cores = _orth_sweep(cores)
     total = np.linalg.norm(cores[0])
     if total == 0.0:
         zero = [np.zeros((1, G.shape[1], 1)) for G in cores]
         return _from_vector_view(zero, tag)
-    delta = eps * total / np.sqrt(d - 1)
+    delta = eps * total / np.sqrt(max(d - 1, 1))
 
     # left-to-right truncation
     for k in range(d - 1):
-        r0, n, r1 = cores[k].shape
-        U, s, Vt = np.linalg.svd(cores[k].reshape(r0 * n, r1), full_matrices=False)
+        U, s, Vt = np.linalg.svd(_unfold(cores[k], True), full_matrices=False)
         keep = _chop(s, delta, max_rank)
-        cores[k] = U[:, :keep].reshape(r0, n, keep)
+        cores[k] = _fold(U[:, :keep], cores[k].shape, True)
         carry = s[:keep, None] * Vt[:keep]
         cores[k + 1] = np.tensordot(carry, cores[k + 1], axes=([1], [0]))
     return _from_vector_view(cores, tag)

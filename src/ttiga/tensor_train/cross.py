@@ -1,13 +1,14 @@
 """Rank-adaptive cross interpolation driven by maxvol pivoting.
 
-Alternating left/right half-sweeps maintain nested row/column index sets
-chosen by :func:`maxvol` on the unfolding fibers, and each half builds an
-interpolating train from its fibers. After every half-sweep the train is
-validated on a fixed random holdout sample, and the cross stops at the
-first half whose holdout relative RMS error meets the tolerance. Ranks
-double after each sweep that misses it, until the rank cap is reached.
-Each half-sweep logs one debug record: its direction, the ranks, the
-evaluations so far and the holdout error.
+One half-sweep body runs in both directions: forward it rebuilds the
+nested row index sets from the column ones, backward the column sets from
+the row ones, each chosen by :func:`maxvol` on a core's fiber unfolding,
+and builds an interpolating train from its fibers. After every half the
+train is validated on a fixed random holdout sample, and the cross stops
+at the first half whose holdout relative RMS error meets the tolerance.
+Ranks double after each sweep that misses it, until the rank cap is
+reached. Each half-sweep logs one debug record: its direction, the ranks,
+the evaluations so far and the holdout error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import TtTensor, tt_round
+from .core import TtTensor, _fold, _unfold, tt_round
 from .maxvol import maxvol
 
 __all__ = ["CrossOracle", "CrossResult", "tt_cross"]
@@ -40,8 +41,8 @@ class CrossOracle:
     same value. The optional ``lines`` evaluates whole fibers: given a mode
     k and an index array ``fixed`` of shape (M, d) whose column k is
     ignored, it returns the (M, n_k) values along mode k through each row.
-    The cross fetches its fibers through it when set; it must agree with
-    ``fn``.
+    The cross fetches its fibers through it when set, and through ``fn`` at
+    the points of :func:`_line_index` otherwise; it must agree with ``fn``.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -79,11 +80,23 @@ class _Counter:
 
     def lines(self, k, fixed):
         shape = (fixed.shape[0], int(self.oracle.mode_sizes[k]))
+        if self.oracle.lines is None:
+            return self(_line_index(self.oracle.mode_sizes, k, fixed)).reshape(shape)
         self.n += shape[0] * shape[1]
         vals = np.asarray(self.oracle.lines(k, fixed), dtype=float)
         if vals.shape != shape:
             raise ValueError("oracle lines must return (M, n_k) values")
         return vals
+
+
+def _line_index(shape, axis: int, fixed) -> np.ndarray:
+    """Grid multi-indices (M*n, d) of the lines along ``axis`` through the
+    rows of ``fixed`` (M, d), whose column ``axis`` is ignored, line by line."""
+    fixed = np.asarray(fixed, dtype=np.intp)
+    nq = shape[axis]
+    idx = np.repeat(fixed, nq, axis=0)
+    idx[:, axis] = np.tile(np.arange(nq), fixed.shape[0])
+    return idx
 
 
 def _random_tuples(rng, sizes, count, existing=()):
@@ -103,25 +116,14 @@ def _random_tuples(rng, sizes, count, existing=()):
 
 
 def _fiber_matrix(fn: _Counter, left, nk, right, k, d):
-    """Evaluate the unfolding C[(i_left, i_k), j_right] at the cross fibers.
-
-    Through the oracle's ``lines`` when it has one: one fiber along mode k
-    per (left, right) pair. Else entry by entry.
-    """
+    """Evaluate the unfolding C[(i_left, i_k), j_right] at the cross fibers:
+    one line along mode k per (left, right) pair."""
     nl, nr = len(left), len(right)
-    left_arr = np.asarray(left, dtype=np.intp).reshape(nl, k)
-    right_arr = np.asarray(right, dtype=np.intp).reshape(nr, d - k - 1)
-    if fn.oracle.lines is not None:
-        fixed = np.zeros((nl * nr, d), dtype=np.intp)
-        fixed[:, :k] = np.repeat(left_arr, nr, axis=0)
-        fixed[:, k + 1:] = np.tile(right_arr, (nl, 1))
-        vals = fn.lines(k, fixed).reshape(nl, nr, nk)
-        return vals.transpose(0, 2, 1).reshape(nl * nk, nr)
-    idx = np.empty((nl * nk * nr, d), dtype=np.intp)
-    idx[:, :k] = np.repeat(left_arr, nk * nr, axis=0)
-    idx[:, k] = np.tile(np.repeat(np.arange(nk), nr), nl)
-    idx[:, k + 1:] = np.tile(right_arr, (nl * nk, 1))
-    return fn(idx).reshape(nl * nk, nr)
+    fixed = np.zeros((nl, nr, d), dtype=np.intp)
+    fixed[:, :, :k] = np.asarray(left, dtype=np.intp).reshape(nl, 1, k)
+    fixed[:, :, k + 1:] = np.asarray(right, dtype=np.intp).reshape(1, nr, d - k - 1)
+    vals = fn.lines(k, fixed.reshape(nl * nr, d)).reshape(nl, nr, nk)
+    return vals.transpose(0, 2, 1).reshape(nl * nk, nr)
 
 
 def tt_cross(
@@ -132,17 +134,19 @@ def tt_cross(
 ) -> CrossResult:
     """Build a TT approximation of the oracle's grid function.
 
-    Each sweep is a left-to-right half, which builds the row sets and the
-    interpolation train Q inv(Q[sel]) ... C_last, then a right-to-left
-    half, which builds the column sets and the train C_first inv(Q[sel])^T
-    Q^T ... . The relative root-mean-square error on ``_HOLDOUT`` random
+    Each sweep is a left-to-right half, then a right-to-left one, run by
+    one body: at each core but the last it visits, Q is the QR factor of
+    the fibers' unfolding in the half's direction, the core is Q inv(Q[sel])
+    for the maxvol rows ``sel``, and those rows of the unfolding are the
+    next core's index set; the last core is its fibers. The backward half
+    starts from the forward half's last fibers instead of evaluating them
+    again. The relative root-mean-square error on ``_HOLDOUT`` random
     entries is checked after every half, and the cross stops at the first
-    half that meets ``eps``. The right-to-left half starts from the
-    left-to-right half's last fiber matrix instead of evaluating it again.
-    A sweep that misses ``eps`` doubles the ranks for the next one. The cross also stops when the
-    ranks reach ``_RANK_CAP`` or after ``_MAX_SWEEPS`` sweeps; ``sweeps``
-    counts the sweeps begun. Hitting the cap with error above ``10 * eps``
-    flags ``converged=False`` in the result rather than raising.
+    half that meets ``eps``. A sweep that misses ``eps`` doubles the ranks
+    for the next one. The cross also stops when the ranks reach
+    ``_RANK_CAP`` or after ``_MAX_SWEEPS`` sweeps; ``sweeps`` counts the
+    sweeps begun. Hitting the cap with error above ``10 * eps`` flags
+    ``converged=False`` in the result rather than raising.
 
     ``scale`` normalizes the holdout error; it defaults to the holdout RMS
     of the function itself. Callers approximating one term of a sum should
@@ -173,10 +177,9 @@ def tt_cross(
         min(int(np.prod(sizes[: k + 1])), int(np.prod(sizes[k + 1:])), _RANK_CAP)
         for k in range(d - 1)
     ]
-    ranks = [1] * (d - 1)
-    right_sets = [
-        _random_tuples(rng, sizes[k + 1:], ranks[k]) for k in range(d - 1)
-    ]
+    # index sets per core over the modes before and after it
+    left_sets = [[()]] + [None] * (d - 1)
+    right_sets = [_random_tuples(rng, sizes[k + 1:], 1) for k in range(d - 1)] + [[()]]
 
     def holdout_error(tt):
         approx = tt.gather(hold_idx)
@@ -191,61 +194,39 @@ def tt_cross(
         )
         return err
 
-    for sweep in range(_MAX_SWEEPS):
-        sweeps_done = sweep + 1
-        # left-to-right: rebuild nested row sets and the interpolation cores
-        cores = [None] * d
-        left_sets = [[()]]
-        for k in range(d - 1):
-            C = _fiber_matrix(fn, left_sets[k], sizes[k], right_sets[k], k, d)
-            Q, _ = np.linalg.qr(C)
-            sel = maxvol(Q)
-            core = np.linalg.solve(Q[sel].T, Q.T).T  # Q inv(Q[sel])
-            cores[k] = core.reshape(len(left_sets[k]), sizes[k], len(sel))
-            combined = [
-                il + (ik,)
-                for il in left_sets[k]
-                for ik in range(sizes[k])
-            ]
-            left_sets.append([combined[s] for s in sel])
-            ranks[k] = len(sel)
-        C = _fiber_matrix(fn, left_sets[d - 1], sizes[d - 1], [()], d - 1, d)
-        cores[d - 1] = C.reshape(len(left_sets[d - 1]), sizes[d - 1], 1)
-        err = check(cores, sweeps_done, "fwd")
-        if err <= eps:
-            break
+    def fibers(k):
+        C = _fiber_matrix(fn, left_sets[k], sizes[k], right_sets[k], k, d)
+        return C.reshape(len(left_sets[k]), sizes[k], len(right_sets[k]))
 
-        # right-to-left: rebuild nested column sets and the cores, starting
-        # from the last fiber matrix C of the left-to-right half
-        cores = [None] * d
-        right_sets = [None] * (d - 1)
-        cur_right = [()]
-        for k in range(d - 1, 0, -1):
-            if k < d - 1:
-                C = _fiber_matrix(fn, left_sets[k], sizes[k], cur_right, k, d)
-            nl, nr = len(left_sets[k]), len(cur_right)
-            Ct = C.reshape(nl, sizes[k] * nr).T
-            Q, _ = np.linalg.qr(Ct)
-            sel = maxvol(Q)
-            core = np.linalg.solve(Q[sel].T, Q.T)  # inv(Q[sel])^T Q^T
-            cores[k] = core.reshape(len(sel), sizes[k], nr)
-            combined = [
-                (ik,) + jr for ik in range(sizes[k]) for jr in cur_right
-            ]
-            cur_right = [combined[s] for s in sel]
-            right_sets[k - 1] = cur_right
-            ranks[k - 1] = len(sel)
-        C = _fiber_matrix(fn, [()], sizes[0], cur_right, 0, d)
-        cores[0] = C.reshape(1, sizes[0], len(cur_right))
-        err = check(cores, sweeps_done, "bwd")
-        if err <= eps:
-            break
-        if all(r >= m for r, m in zip(ranks, max_rank_at)):
+    cores = [None] * d
+    for sweep in range(1, _MAX_SWEEPS + 1):
+        for forward in (True, False):
+            order = range(d) if forward else range(d - 1, -1, -1)
+            for k in order[:-1]:
+                # only a backward half passes core d - 1 before its end;
+                # the forward half's end core there is its fiber tensor
+                C3 = cores[k] if k == d - 1 else fibers(k)
+                Q, _ = np.linalg.qr(_unfold(C3, forward))
+                sel = maxvol(Q)
+                # Q inv(Q[sel])
+                cores[k] = _fold(np.linalg.solve(Q[sel].T, Q.T).T, C3.shape, forward)
+                # the rows of the unfolding: (i_left, i_k) or (i_k, j_right)
+                if forward:
+                    rows = [a + (i,) for a in left_sets[k] for i in range(sizes[k])]
+                    left_sets[k + 1] = [rows[s] for s in sel]
+                else:
+                    rows = [(i,) + b for i in range(sizes[k]) for b in right_sets[k]]
+                    right_sets[k - 1] = [rows[s] for s in sel]
+            cores[order[-1]] = fibers(order[-1])
+            err = check(cores, sweep, "fwd" if forward else "bwd")
+            if err <= eps:
+                break
+        if err <= eps or all(len(s) >= m for s, m in zip(right_sets, max_rank_at)):
             break
 
         # double the ranks, extending the column sets with fresh tuples
         for k in range(d - 1):
-            target = min(2 * ranks[k], max_rank_at[k])
+            target = min(2 * len(right_sets[k]), max_rank_at[k])
             right_sets[k] = _random_tuples(
                 rng, sizes[k + 1:], target, existing=right_sets[k]
             )
@@ -257,4 +238,4 @@ def tt_cross(
     err_trimmed = holdout_error(trimmed)
     if err_trimmed <= max(eps, err):
         tensor, err = trimmed, err_trimmed
-    return CrossResult(tensor, err, err <= 10 * eps, fn.n, sweeps_done)
+    return CrossResult(tensor, err, err <= 10 * eps, fn.n, sweep)

@@ -16,7 +16,7 @@ import ttiga.driver as driver
 from ttiga import cli
 from ttiga.cli import check_artifact, main
 
-from test_tensor_train import ttc2_bytes
+from test_tensor_train import container_bytes, ttc2_bytes
 
 CUBE_RUN = {
     "geometry": "unit_cube",
@@ -664,13 +664,33 @@ class TestCheckCommand:
         assert main(["solve", "--config", str(cfg)]) == 0
         path = tmp_path / "out" / "unit_cube_p1_e2.json"
         doc = json.loads(path.read_text())
-        doc[key] = "small"
-        path.write_text(json.dumps(doc))
-        assert main(["check", str(path)]) == 1
+        for bad in ("small", True):
+            doc[key] = bad
+            path.write_text(json.dumps(doc))
+            assert main(["check", str(path)]) == 1
 
-    @pytest.mark.parametrize(
-        "damage", ["bad_magic", "truncated_cores", "ttc2_tensor", "ttc2_operator"]
-    )
+    @pytest.mark.parametrize("doc", [
+        {"ladder": 5},
+        {"ladder": [{"dofs": "x"}]},
+        {"ladder": []},
+        {"ladder": [3]},
+        {"ladder": [{"dofs": True, "tt_time_s": 0.1, "tt_residual": 1e-9,
+                     "status": "oracle-refused"}]},
+        {"ladder": [{"dofs": 8, "tt_time_s": 0.1, "tt_residual": 1e-9, "status": "done"}]},
+        {"ladder": [{"dofs": 8, "tt_time_s": 0.1, "tt_residual": 1e-9, "status": "ok"}]},
+        {"ladder": [{"dofs": 8, "tt_time_s": 0.1, "tt_residual": 1e-9,
+                     "status": "oracle-refused"}], "largest_oracle_dofs": "8"},
+    ], ids=["not_a_list", "bad_dofs", "empty", "entry_not_object", "bool_dofs",
+            "unknown_status", "ok_without_oracle", "bad_largest"])
+    def test_invalid_crossover_summary_rejected(self, tmp_path, capsys, doc):
+        path = write_config(tmp_path / "crossover.json", doc)
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("damage", [
+        "bad_magic", "truncated_cores", "ttc2_tensor", "ttc2_operator",
+        "zero_rank", "zero_mode",
+    ])
     @pytest.mark.parametrize("command", ["check", "tt-info"])
     def test_corrupt_container_rejected(self, tmp_path, capsys, damage, command):
         from ttiga.tensor_train import TtTensor, save_tt
@@ -680,6 +700,12 @@ class TestCheckCommand:
             path.write_text("garbage")
         elif damage.startswith("ttc2"):
             path.write_bytes(ttc2_bytes(damage[5:]))
+        elif damage == "zero_rank":
+            cores = [np.ones((1, 4, 0)), np.ones((0, 5, 1))]
+            path.write_bytes(container_bytes(b"TTC3", 0, cores))
+        elif damage == "zero_mode":
+            cores = [np.ones((1, 0, 2)), np.ones((2, 5, 1))]
+            path.write_bytes(container_bytes(b"TTC3", 0, cores))
         else:
             save_tt(path, TtTensor.ones((4, 5, 6)))
             path.write_bytes(path.read_bytes()[:-8])

@@ -93,6 +93,25 @@ class TestArithmetic:
         assert np.allclose(s.full(), -2.5 * a.full(), atol=1e-13)
         assert all(np.array_equal(G, H) for G, H in zip(a.cores, before))
 
+    @pytest.mark.parametrize("op", ["add", "sub", "round", "add_operator"])
+    def test_one_core_trains_match_dense(self, op):
+        rng = np.random.default_rng(7)
+        if op == "add_operator":
+            a = TtMatrix([rng.standard_normal((1, 6, 1, 1))])
+            b = TtMatrix([rng.standard_normal((1, 6, 3, 1))])
+        else:
+            a, b = (TtTensor([rng.standard_normal((1, 6, 1))]) for _ in range(2))
+        before = [G.copy() for G in a.cores]
+        if op == "round":
+            got, ref = tt_round(a, 1e-12), a.full()
+        elif op == "sub":
+            got, ref = tt_sub(a, b), a.full() - b.full()
+        else:
+            got, ref = tt_add(a, b), a.full() + b.full()
+        assert got.ranks == (1, 1)
+        assert np.abs(got.full() - ref).max() <= 1e-15 * np.abs(ref).max()
+        assert all(np.array_equal(G, H) for G, H in zip(a.cores, before))
+
     def test_dot_vs_norm(self):
         """tt_norm equals the dense norm sqrt(x . x), also for (a + delta) - a
         with |delta| / |a| = 1e-12, where a chain-contracted inner product
@@ -290,6 +309,25 @@ class TestCross:
         err = np.linalg.norm(res.tensor.full() - ref) / np.linalg.norm(ref)
         assert err <= 1e-9
         assert res.holdout_error <= 1e-10
+
+    @pytest.mark.parametrize("sizes", [(9,), (9, 7), (9, 7, 6, 5)], ids=["d1", "d2", "d4"])
+    def test_two_term_sum_any_order(self, sizes):
+        """The half-sweeps' end cores on grids of one, two and four modes."""
+        def f(idx):
+            x = idx + 1.0
+            a = np.prod(np.sin(0.3 * x + 0.1 * np.arange(len(sizes))), axis=1)
+            b = np.prod(np.exp(-0.1 * x) * np.cos(0.2 * x), axis=1)
+            return a + b
+
+        eps = 1e-10
+        res = tt_cross(CrossOracle(f, sizes), eps, rng=np.random.default_rng(8))
+        assert res.tensor.mode_sizes == sizes
+        assert max(res.ranks) <= 2
+        grid = np.indices(sizes).reshape(len(sizes), -1).T
+        ref = f(grid).reshape(sizes)
+        err = np.linalg.norm(res.tensor.full() - ref) / np.linalg.norm(ref)
+        assert err <= eps
+        assert res.holdout_error <= eps and res.converged
 
     def test_constant_field(self):
         res = tt_cross(
