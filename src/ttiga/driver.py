@@ -13,12 +13,9 @@ crossover study.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -43,14 +40,11 @@ from .splines import Basis1D, KnotVector, eval_basis, tabulate
 from .tensor_train import (
     TtTensor,
     amen_solve,
-    load_tt,
-    save_tt,
     tt_add,
     tt_from_full,
     tt_info,
     tt_round,
 )
-from .tensor_train.io import _atomic_write
 
 __all__ = [
     "DriverError",
@@ -357,61 +351,6 @@ def _spawn_rngs(seed: int, n: int):
 
 
 # ---------------------------------------------------------------------------
-# operator cache, enabled through the TTIGA_CACHE_DIR environment variable
-
-def cache_dir() -> Path | None:
-    d = os.environ.get("TTIGA_CACHE_DIR")
-    return Path(d) if d else None
-
-
-# bump when assembly changes what an entry holds, so stale entries miss
-CACHE_FORMAT = 7
-
-
-def cache_key(cfg: SolveConfig, what: str) -> str:
-    """Content hash of the inputs that assemble the operator K or the load f."""
-    payload = {
-        "format": CACHE_FORMAT,
-        "what": what,
-        "geometry": cfg.geometry,
-        "geometry_params": cfg.geometry_params,
-        "degree": list(cfg.degree),
-        "elements": list(cfg.elements),
-        "eps_cross": cfg.eps_cross,
-        "seed": cfg.seed,
-    }
-    if what == "K":
-        payload["eps_round"] = cfg.eps_round
-    else:
-        payload["source"] = cfg.source
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:24]
-
-
-def _cached(cfg: SolveConfig, what: str, assemble):
-    """``(obj, info)`` for K or f: from the cache when it holds a readable
-    entry, else from ``assemble()``, which is then stored."""
-    d = cache_dir()
-    if d is None:
-        return assemble()
-    key = cache_key(cfg, what)
-    path, manifest = d / f"{key}.tt", d / f"{key}.json"
-    if path.exists() and manifest.exists():
-        try:
-            with open(manifest) as fh:
-                info = json.load(fh)
-            return load_tt(path), info
-        except (ValueError, OSError):
-            pass  # unreadable entries count as misses
-    obj, info = assemble()
-    save_tt(path, obj)
-    doc = dict(info)
-    doc["tt"] = tt_info(obj)
-    _atomic_write(manifest, json.dumps(doc, indent=2, default=str))
-    return obj, info
-
-
-# ---------------------------------------------------------------------------
 # metrics
 
 def compression_ratio(t) -> float:
@@ -528,15 +467,15 @@ def solve_poisson(cfg: SolveConfig) -> SolutionReport:
 
     rng_K, rng_f = _spawn_rngs(cfg.seed, 2)
     t0 = time.perf_counter()
-    K, k_info = _cached(cfg, "K", lambda: assemble_stiffness(
+    K, k_info = assemble_stiffness(
         patch, disc, cfg.eps_cross, cfg.eps_round, rng=rng_K
-    ))
+    )
     timings["t_assemble_K_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    f, f_info = _cached(cfg, "f", lambda: assemble_load(
+    f, f_info = assemble_load(
         patch, disc, SOURCES[cfg.source], cfg.eps_cross, rng=rng_f
-    ))
+    )
     timings["t_assemble_f_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

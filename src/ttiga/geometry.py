@@ -85,8 +85,10 @@ class GeometryPatch:
             raise GeometryError(f"control grid shape {cp.shape} != {shape + (3,)}")
         if w.shape != shape:
             raise GeometryError(f"weight grid shape {w.shape} != {shape}")
-        if np.any(w <= 0):
-            raise GeometryError("weights must be strictly positive")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise GeometryError("weights must be finite and strictly positive")
+        if not np.all(np.isfinite(cp)):
+            raise GeometryError("control points must be finite")
 
     @property
     def degrees(self) -> tuple[int, int, int]:
@@ -379,9 +381,11 @@ def _finalize(kvs, ctrl, w, metadata) -> GeometryPatch:
     )
     # probe k is the point (k, k, k) of the grid spanned by the probes
     diagonal = np.stack([np.arange(len(probes))] * 3, axis=1)
-    det, _ = GridEvaluator(patch, probes.T).metric(diagonal)
-    if np.any(det <= 0):
-        raise GeometryError("orientation check failed: det(J) <= 0")
+    # a net too large for double precision gives a NaN det(J), which fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        det, _ = GridEvaluator(patch, probes.T).metric(diagonal)
+    if not np.all(det > 0):
+        raise GeometryError("orientation check failed: det(J) is not positive")
     return patch
 
 

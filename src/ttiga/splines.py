@@ -55,9 +55,12 @@ class KnotVector:
             raise SplineError("degree must be non-negative")
         if kn.ndim != 1 or kn.size < 2 * (p + 1):
             raise SplineError("knot vector needs at least 2*(degree+1) entries")
+        if not np.all(np.isfinite(kn)):
+            raise SplineError("knots must be finite")
         if np.any(np.diff(kn) < 0):
             raise SplineError("knots must be non-decreasing")
-        if not (np.all(kn[: p + 1] == kn[0]) and np.all(kn[-p - 1:] == kn[-1])):
+        if not (np.all(kn[: p + 1] == kn[0]) and np.all(kn[-p - 1:] == kn[-1])
+                and kn[0] < kn[p + 1] and kn[-p - 2] < kn[-1]):
             raise SplineError("end knots must have multiplicity degree+1 (clamped)")
         interior = kn[p + 1: -p - 1]
         if interior.size:
@@ -109,8 +112,8 @@ class Basis1D:
             object.__setattr__(self, "weights", w)
             if w.shape != (self.knot_vector.n_basis,):
                 raise SplineError("weight count must equal basis count")
-            if np.any(w <= 0):
-                raise SplineError("weights must be strictly positive")
+            if not np.all(np.isfinite(w) & (w > 0)):
+                raise SplineError("weights must be finite and strictly positive")
 
     @property
     def degree(self) -> int:

@@ -458,6 +458,9 @@ class TestBenchCommand:
             ("bench", {"crossover": {"geometry": "torus"}}, "unknown geometry 'torus'"),
             ("check", {"crossover": {"geometry": "torus"}}, "unknown geometry 'torus'"),
             ("bench", {"geometries": ["ring"], "rank_cap": 64}, "['rank_cap']"),
+            ("solve", {"runs": [{"geometry": "hyperboloid", "geometry_params":
+                                 {"zmin": -1e308, "zmax": 1e308}}]},
+             "orientation check failed"),
         ],
         ids=["solve-list", "solve-number", "solve-output-dir", "bench-list",
              "bench-number", "bench-crossover", "bench-output-dir",
@@ -466,7 +469,7 @@ class TestBenchCommand:
              "check-geometry-name", "check-geometry-params", "bench-no-geometries",
              "bench-no-elements", "bench-no-crossover-rungs",
              "bench-crossover-geometry", "check-crossover-geometry",
-             "bench-rank-cap"],
+             "bench-rank-cap", "solve-overflowing-geometry"],
     )
     def test_malformed_config_file_exits_with_message(
         self, tmp_path, monkeypatch, capsys, command, doc, needle
@@ -533,29 +536,6 @@ class TestDumpCommand:
         assert list(tmp_path.iterdir()) == [out]
         assert out.read_text() == "old"
 
-    def test_failed_manifest_write_leaves_no_temp(self, tmp_path, monkeypatch):
-        """A cache manifest that fails to land leaves no temp file, and the
-        entry without its manifest is a miss that the next solve rewrites."""
-        from ttiga.cli import parse_run
-
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("TTIGA_CACHE_DIR", str(cache))
-        real_replace = os.replace
-
-        def replace(src, dst):
-            if str(dst).endswith(".json"):
-                raise OSError("disk full")
-            real_replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", replace)
-        cfg, _ = parse_run(CUBE_RUN)
-        with pytest.raises(OSError, match="disk full"):
-            driver.solve_poisson(cfg)
-        assert [p.suffix for p in cache.iterdir()] == [".tt"]
-        monkeypatch.setattr(os, "replace", real_replace)
-        assert driver.solve_poisson(cfg).solver_converged
-        assert sorted(p.suffix for p in cache.iterdir()) == [".json"] * 2 + [".tt"] * 2
-
     @pytest.mark.parametrize(
         "argv",
         [["dump", "nonsense"], ["solve"],
@@ -576,10 +556,15 @@ class TestDumpCommand:
             ["geometry", "--name", "ring", "--params", "abc"],
             ["basis", "--knots", "0,0,a,1", "--degree", "1"],
             ["basis", "--knots", "0,0,1,1", "--degree", "1", "--weights", "1,x"],
+            ["basis", "--knots", "0,0,1,inf,inf", "--degree", "1"],
+            ["basis", "--knots", "0,0,0,1,1,1", "--degree", "1"],
+            ["basis", "--knots", "0,0,1,1", "--degree", "1", "--weights", "1,inf"],
+            ["basis", "--knots", "0,0,1,1", "--degree", "1", "--weights", "1,nan"],
             ["basis", "--knots", "0,0,1,1", "--degree", "1", "--samples", "-5"],
             ["basis", "--knots", "0,0,1,1", "--degree", "1", "--samples", "0"],
         ],
         ids=["params-not-object", "params-not-json", "bad-knot", "bad-weight",
+             "inf-knot", "end-knot-repeated", "inf-weight", "nan-weight",
              "samples-negative", "samples-zero"],
     )
     def test_malformed_input_rejected(self, argv, capsys):
@@ -600,35 +585,30 @@ class TestDumpCommand:
         assert main(["dump", *argv]) == 0
         assert capsys.readouterr().out
 
-    def test_tt_info_on_cached_operator(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TTIGA_CACHE_DIR", str(tmp_path / "cache"))
+    def test_tt_info_on_saved_operator(self, tmp_path, monkeypatch):
+        """A solve's assembled K, written by save_tt, reads back through
+        dump tt-info with the ranks the solve reports."""
+        from ttiga.tensor_train import save_tt
+
+        saved, assemble = tmp_path / "K.tt", driver.assemble_stiffness
+
+        def assemble_and_save(*args, **kwargs):
+            K, info = assemble(*args, **kwargs)
+            save_tt(saved, K)
+            return K, info
+
+        monkeypatch.setattr(driver, "assemble_stiffness", assemble_and_save)
         cfg = write_config(
             tmp_path / "cfg.json",
             {"output_dir": str(tmp_path / "out"), "runs": [CUBE_RUN]},
         )
         assert main(["solve", "--config", str(cfg)]) == 0
         report = json.loads((tmp_path / "out" / "unit_cube_p1_e2.json").read_text())
-        tts = sorted((tmp_path / "cache").glob("*.tt"))
-        assert tts, "cache should hold the assembled operators"
-        infos = []
-        for tt in tts:
-            out = tmp_path / (tt.stem + ".info.json")
-            assert main(["dump", "tt-info", "--path", str(tt), "--out", str(out)]) == 0
-            infos.append(json.loads(out.read_text()))
-        op_ranks = [i["ranks"] for i in infos if i["kind"] == "operator"]
-        assert report["ranks_K"] in op_ranks
-
-    def test_cache_hit_is_deterministic(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TTIGA_CACHE_DIR", str(tmp_path / "cache"))
-        reports = []
-        for sub in ("a", "b"):
-            cfg = write_config(tmp_path / f"{sub}.json", {"runs": [CUBE_RUN]})
-            out = tmp_path / sub
-            assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-            doc = json.loads((out / "unit_cube_p1_e2.json").read_text())
-            doc.pop("timings")
-            reports.append(doc)
-        assert reports[0] == reports[1]
+        out = tmp_path / "K.info.json"
+        assert main(["dump", "tt-info", "--path", str(saved), "--out", str(out)]) == 0
+        info = json.loads(out.read_text())
+        assert info["kind"] == "operator"
+        assert info["ranks"] == report["ranks_K"]
 
 
 class TestCheckCommand:
@@ -751,6 +731,27 @@ class TestCheckCommand:
         bad = tmp_path / "x.csv"
         bad.write_text("a,b,c\n1,2,3\n")
         assert main(["check", str(bad)]) == 1
+
+    @pytest.mark.parametrize(
+        "field,index,value",
+        [("weights", (0, 0, 0), float("nan")),
+         ("control_points", (0, 0, 0, 2), float("inf"))],
+        ids=["nan-weight", "inf-control-point"],
+    )
+    def test_non_finite_patch_rejected(self, tmp_path, capsys, field, index, value):
+        """Python's json reads NaN and Infinity; a patch holding either is
+        refused with one error line."""
+        path = tmp_path / "ring.json"
+        assert main(["dump", "geometry", "--name", "ring", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        grid = np.array(doc[field])
+        grid[index] = value
+        doc[field] = grid.tolist()
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid patch JSON: ") and "finite" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "name,content,where",

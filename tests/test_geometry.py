@@ -126,6 +126,8 @@ class TestFactories:
             make_geometry("ring", {"radius": 1.0})
         with pytest.raises(GeometryError):
             make_geometry("banana")
+        with pytest.raises(GeometryError, match="orientation"):
+            make_geometry("hyperboloid", {"zmin": -1e308, "zmax": 1e308})
 
 
 class TestMetric:

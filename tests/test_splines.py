@@ -169,6 +169,14 @@ def test_knot_vector_validation():
         KnotVector(np.array([0, 0.5, 1.0]), 1)  # not clamped
     with pytest.raises(SplineError):
         KnotVector(np.array([0, 0, 0, 0.5, 0.5, 0.5, 1, 1, 1.0]), 2)  # mult > p
+    with pytest.raises(SplineError, match="finite"):
+        KnotVector(np.array([0, 0, 1, np.inf, np.inf]), 1)
+    with pytest.raises(SplineError, match="finite"):
+        KnotVector(np.array([0, 0, np.nan, 1, 1.0]), 1)
+    with pytest.raises(SplineError, match="end knots"):
+        KnotVector(np.array([0, 0, 0, 1, 1, 1.0]), 1)  # end mult > p + 1
+    with pytest.raises(SplineError, match="end knots"):
+        KnotVector(np.array([0, 0, 0, 0.5, 1, 1.0]), 1)  # left end only
 
 
 def test_weights_validation():
@@ -177,3 +185,6 @@ def test_weights_validation():
         Basis1D(kv, np.array([1.0, -1.0, 1.0]))
     with pytest.raises(SplineError):
         Basis1D(kv, np.array([1.0, 1.0]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(SplineError, match="finite"):
+            Basis1D(kv, np.array([1.0, bad, 1.0]))

@@ -19,8 +19,7 @@ elements. ``--smoke`` uses the workloads' smoke sizes and 4 elements for
 the geometries, and drops the hyperboloid at 128.
 
 The comparison is exact; there is no tolerance mode. BLAS threads default
-to 1 here, since threaded reductions may change the last bits, and the
-operator cache is off.
+to 1 here, since threaded reductions may change the last bits.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
-# every operator is assembled, never read from the cache
-os.environ.pop("TTIGA_CACHE_DIR", None)
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
