@@ -604,7 +604,7 @@ def check_artifact(path) -> str:
         if isinstance(doc, dict) and "control_points" in doc:
             try:
                 patch_from_json(text)
-            except (GeometryError, SplineError, KeyError) as exc:
+            except (GeometryError, SplineError) as exc:
                 raise ConfigError(f"invalid patch JSON: {exc}") from exc
             return "geometry-patch"
         if isinstance(doc, dict) and "ladder" in doc:

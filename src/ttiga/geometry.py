@@ -614,15 +614,44 @@ def patch_to_json(patch: GeometryPatch) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _float_array(value, what: str) -> np.ndarray:
+    """``value``, a JSON number or nested lists of them, as a float array."""
+    def numeric(v):
+        if isinstance(v, list):
+            return all(numeric(x) for x in v)
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if not numeric(value):
+        raise GeometryError(f"{what} must hold numbers only")
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError as exc:  # ragged nesting
+        raise GeometryError(f"{what} must be a regular array of numbers") from exc
+
+
 def patch_from_json(text: str) -> GeometryPatch:
+    """The patch :func:`patch_to_json` wrote. A document without its four
+    fields, or with a field of the wrong type, raises GeometryError."""
     doc = json.loads(text)
+    fields = ("knots", "degrees", "control_points", "weights")
+    if not (isinstance(doc, dict) and all(k in doc for k in fields)):
+        raise GeometryError(f"a patch is an object with fields {', '.join(fields)}")
+    knots, degrees = doc["knots"], doc["degrees"]
+    if not (isinstance(knots, list) and len(knots) == 3):
+        raise GeometryError("knots must be a list of three knot vectors")
+    if not (isinstance(degrees, list) and len(degrees) == 3
+            and all(type(p) is int for p in degrees)):
+        raise GeometryError("degrees must be a list of three integers")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise GeometryError("metadata must be an object")
     bases = tuple(
-        Basis1D(KnotVector(np.asarray(kn, dtype=float), p), None)
-        for kn, p in zip(doc["knots"], doc["degrees"])
+        Basis1D(KnotVector(_float_array(kn, "knots"), p), None)
+        for kn, p in zip(knots, degrees)
     )
     return GeometryPatch(
         bases,
-        np.asarray(doc["control_points"], dtype=float),
-        np.asarray(doc["weights"], dtype=float),
-        doc.get("metadata", {}),
+        _float_array(doc["control_points"], "control_points"),
+        _float_array(doc["weights"], "weights"),
+        metadata,
     )

@@ -28,7 +28,11 @@ M_k banded (half-bandwidth p), and the core's shape alone picks its solver:
   the local Kronecker sum; ``amen_solve2``'s ``cjacobi`` is the special case
   of identity frames. The CG loop keeps x, r, p and one work vector.
 
-Both kinds of band are built column-major and factored in place by LAPACK.
+Both kinds of band are built column-major and factored in place by LAPACK,
+called through scipy's compiled wrapper, which :mod:`._lapack` loads without
+importing a scipy package; the calls are those that scipy's
+``cholesky_banded``, ``cho_solve_banded``, ``solve_banded`` and
+``solve_triangular`` make, so the results are theirs bit for bit.
 
 A half-sweep starts at the core where the previous one ended, with the same
 interfaces and right-hand side, so that core's solution is reused.
@@ -56,9 +60,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from numpy.lib.stride_tricks import as_strided
 
+from ._lapack import flapack
 from .core import TtMatrix, TtTensor, _fold, _orth_sweep, _unfold, tt_norm, tt_round
 # tt_matvec and tt_sub are not called here; they stay importable because the
 # benchmark's layer trace (perfbench/layertrace.py) wraps them by name
@@ -224,24 +228,40 @@ def _residual_norm(ops, f: TtTensor, u) -> float:
     return math.sqrt(sq)
 
 
+def _outputs(result):
+    """A LAPACK routine's outputs without its trailing ``info``, which is
+    checked as scipy's wrappers check it: info > 0 (a singular or
+    indefinite matrix) raises LinAlgError, info < 0 ValueError."""
+    *out, info = result
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular or indefinite matrix at {info}")
+    if info < 0:
+        raise ValueError(f"illegal value in LAPACK argument {-info}")
+    return out
+
+
 def _banded_solver(build):
     """Solve callable for the symmetric matrix with lower band ``build()``,
     ``ab[m, j]`` = entry (j + m, j), column-major: Cholesky-factored once, in
     place. A matrix that is not positive definite falls back to a pivoted LU
     of the mirrored full band, built again since the failed one overwrote it.
+    The callable overwrites its right-hand side, which the caller must own.
     """
-    ab = build()
     try:
-        c = sla.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
-        return lambda b: sla.cho_solve_banded((c, True), b, check_finite=False)
+        (c,) = _outputs(flapack.dpbtrf(build(), lower=1, overwrite_ab=1))
+        return lambda b: _outputs(flapack.dpbtrs(c, b, lower=1, overwrite_b=1))[0]
     except np.linalg.LinAlgError:
         ab = build()
         bw = ab.shape[0] - 1
-        full = np.zeros((2 * bw + 1, ab.shape[1]))
-        full[bw:] = ab
+        # dgbsv's layout: bw rows for the LU's fill-in above the mirrored
+        # band; it factors its argument, so each solve passes a copy
+        lu = np.zeros((3 * bw + 1, ab.shape[1]), order="F")
+        lu[2 * bw:] = ab
         for m in range(1, bw + 1):
-            full[bw - m, m:] = ab[m, :-m]
-        return lambda b: sla.solve_banded((bw, bw), full, b, check_finite=False)
+            lu[2 * bw - m, m:] = ab[m, :-m]
+        return lambda b: _outputs(
+            flapack.dgbsv(bw, bw, lu.copy(order="F"), b, overwrite_ab=1, overwrite_b=1)
+        )[2]
 
 
 def _side_frame(phi, weight, trace_w):
@@ -260,8 +280,9 @@ def _side_frame(phi, weight, trace_w):
             pass
         else:
             # S q = lam T q through T = C C^T: Q = C^-T W, W the
-            # eigenvectors of C^-1 S C^-T
-            Ci = sla.solve_triangular(C, np.eye(C.shape[0]), lower=True)
+            # eigenvectors of C^-1 S C^-T. C^-1 solves (C^T)^T X = I on the
+            # Fortran-ordered view C^T, as solve_triangular poses it
+            (Ci,) = _outputs(flapack.dtrtrs(C.T, np.eye(C.shape[0]), lower=0, trans=1))
             return Ci.T @ np.linalg.eigh(Ci @ S @ Ci.T)[1]
     return np.linalg.eigh(S)[1]
 
@@ -370,6 +391,7 @@ class _LocalSystem:
 
         def apply(v, out=None):
             w = (QL.T @ v.reshape(r0, n * r1)).reshape(r0 * n, r1) @ QR
+            # a copy, which the band solve overwrites
             w = w.reshape(r0, n, r1).transpose(0, 2, 1).ravel()
             y = blocks(w).reshape(r0, r1, n).transpose(0, 2, 1)
             y = (QL @ y.reshape(r0, n * r1)).reshape(r0 * n, r1)
@@ -390,7 +412,9 @@ class _LocalSystem:
         """
         r0, n, r1 = self.shape3
         if min(r0, r1) == 1:
-            x = _banded_solver(self.mode_major_band)(rhs3.transpose(1, 0, 2).ravel())
+            # flatten copies: the solve overwrites it, and ravel is a view
+            # of rhs3 when r0 = 1
+            x = _banded_solver(self.mode_major_band)(rhs3.transpose(1, 0, 2).flatten())
             return x.reshape(n, r0, r1).transpose(1, 0, 2), None
 
         b = rhs3.ravel()

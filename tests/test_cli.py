@@ -733,24 +733,33 @@ class TestCheckCommand:
         assert main(["check", str(bad)]) == 1
 
     @pytest.mark.parametrize(
-        "field,index,value",
-        [("weights", (0, 0, 0), float("nan")),
-         ("control_points", (0, 0, 0, 2), float("inf"))],
-        ids=["nan-weight", "inf-control-point"],
+        "field,index,value,word",
+        [("weights", (0, 0, 0), float("nan"), "finite"),
+         ("control_points", (0, 0, 0, 2), float("inf"), "finite"),
+         ("knots", None, 5, "knots"),
+         ("degrees", None, ["a", 1, 1], "degrees")],
+        ids=["nan-weight", "inf-control-point", "int-knots", "str-degree"],
     )
-    def test_non_finite_patch_rejected(self, tmp_path, capsys, field, index, value):
-        """Python's json reads NaN and Infinity; a patch holding either is
-        refused with one error line."""
+    def test_non_finite_patch_rejected(
+        self, tmp_path, capsys, field, index, value, word
+    ):
+        """Python's json reads NaN and Infinity; a patch holding either, or
+        a field of the wrong type, is refused with one error line that
+        names the fault. The ring patch gets ``value`` at ``index`` of the
+        field's grid, or as the whole field when ``index`` is None."""
         path = tmp_path / "ring.json"
         assert main(["dump", "geometry", "--name", "ring", "--out", str(path)]) == 0
         doc = json.loads(path.read_text())
-        grid = np.array(doc[field])
-        grid[index] = value
-        doc[field] = grid.tolist()
+        if index is None:
+            doc[field] = value
+        else:
+            grid = np.array(doc[field])
+            grid[index] = value
+            doc[field] = grid.tolist()
         path.write_text(json.dumps(doc))
         assert main(["check", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: invalid patch JSON: ") and "finite" in err
+        assert err.startswith("error: invalid patch JSON: ") and word in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(

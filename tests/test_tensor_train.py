@@ -1,14 +1,18 @@
 import logging
+import re
 import struct
+import sys
 import tracemalloc
 import zlib
+from importlib.machinery import ModuleSpec
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttiga.tensor_train import amen, cross
+from ttiga.tensor_train import _lapack, amen, cross
 from ttiga.tensor_train import (
     CrossOracle,
     MaxvolError,
@@ -755,6 +759,76 @@ def random_local_system(r0, a, n, b, r1, hb, rng, spd=True):
     return phiL, M, phiR, dense()
 
 
+def lower_band(bw, N, rng, spd=True):
+    """Column-major lower band (bw + 1, N) of a random symmetric matrix:
+    diagonally dominant, or with a negative diagonal entry."""
+    ab = np.asfortranarray(rng.standard_normal((bw + 1, N)))
+    for m in range(1, bw + 1):
+        ab[m, N - m:] = 0.0
+    ab[0] = 2.0 * np.abs(ab[1:]).sum(axis=0) + 2.0 * bw + 1.0
+    if not spd:
+        ab[0, N // 2] = -1.0
+    return ab
+
+
+class TestLapackCalls:
+    """AMEn calls LAPACK through scipy's compiled wrapper; its results are
+    byte for byte those of scipy.linalg's public functions."""
+
+    @pytest.mark.parametrize(
+        "bw,N", [(71, 130 * 24), (2, 24 * 23 * 130)], ids=["edge", "block-jacobi"]
+    )
+    def test_cholesky_solve_matches_scipy(self, bw, N):
+        rng = np.random.default_rng(70 + bw)
+        ab = lower_band(bw, N, rng)
+        b = rng.standard_normal(N)
+        ref = sla.cho_solve_banded((sla.cholesky_banded(ab, lower=True), True), b)
+        rhs = b.copy()
+        x = amen._banded_solver(ab.copy)(rhs)
+        assert x.tobytes() == ref.tobytes()
+        assert np.shares_memory(x, rhs)  # solved in place
+
+    def test_lu_fallback_matches_scipy(self):
+        rng = np.random.default_rng(72)
+        bw, N = 5, 40
+        ab = lower_band(bw, N, rng, spd=False)
+        with pytest.raises(np.linalg.LinAlgError):
+            sla.cholesky_banded(ab, lower=True)
+        full = np.zeros((2 * bw + 1, N))
+        full[bw:] = ab
+        for m in range(1, bw + 1):
+            full[bw - m, m:] = ab[m, :-m]
+        b = rng.standard_normal(N)
+        ref = sla.solve_banded((bw, bw), full, b)
+        solve = amen._banded_solver(ab.copy)
+        for _ in range(2):  # each solve factors its own copy of the band
+            assert solve(b.copy()).tobytes() == ref.tobytes()
+
+    def test_side_frame_matches_scipy(self):
+        rng = np.random.default_rng(73)
+        r = 24
+        X = rng.standard_normal((r, 2, r))
+        phi = X + X.transpose(2, 1, 0)
+        phi[:, 0] += 4 * r * np.eye(r)
+        weight, trace_w = np.array([1.0, 2.0]), np.array([1.0, 0.5])
+        # the reference is the frame as solve_triangular computed it
+        S = phi[:, 1, :]
+        S = 0.5 * (S + S.T)
+        T = np.einsum("xay,a->xy", phi, trace_w)
+        C = np.linalg.cholesky(0.5 * (T + T.T))
+        Ci = sla.solve_triangular(C, np.eye(r), lower=True)
+        ref = Ci.T @ np.linalg.eigh(Ci @ S @ Ci.T)[1]
+        assert amen._side_frame(phi, weight, trace_w).tobytes() == ref.tobytes()
+
+    def test_missing_wrapper_names_directory(self, monkeypatch, tmp_path):
+        spec = ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(_lapack.importlib.util, "find_spec", lambda name: spec)
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+            _lapack._load()
+
+
 class TestLocalSolve:
     @pytest.mark.parametrize(
         "r0,a,b,r1",
@@ -777,13 +851,13 @@ class TestLocalSolve:
         phiL, M, phiR, B = random_local_system(1, 2, 8, 2, 3, 1, rng, spd=False)
         assert np.linalg.eigvalsh(B)[0] < 0
         calls = []
-        orig = amen.sla.solve_banded
+        orig = amen.flapack.dgbsv
 
         def counting(*args, **kwargs):
             calls.append(1)
             return orig(*args, **kwargs)
 
-        monkeypatch.setattr(amen.sla, "solve_banded", counting)
+        monkeypatch.setattr(amen.flapack, "dgbsv", counting)
         sys_ = amen._LocalSystem(phiL, op_core(M, 1), phiR)
         rhs3 = rng.standard_normal(sys_.shape3)
         x3, _ = sys_.solve(rhs3, None, 1e-3)
@@ -1161,6 +1235,16 @@ class TestMemoryGuards:
         rhs3 = np.random.default_rng(92).standard_normal(sys_.shape3)
         band = 3 * 24 * self.n * 24 * 8
         assert peak_bytes(lambda: sys_.solve(rhs3, None, 1e-8)) <= 1.9 * band
+
+    def test_preconditioner_apply(self):
+        # the band solve works in its argument, so one application holds
+        # three vectors' worth of temporaries; a copied right-hand side
+        # took four
+        sys_ = self.spd_system(24, 2, 9, 23, np.random.default_rng(95))
+        apply = sys_.preconditioner()
+        v = np.random.default_rng(96).standard_normal(sys_.size)
+        out = np.empty(sys_.size)
+        assert peak_bytes(lambda: apply(v, out=out)) <= 3.1 * v.nbytes
 
     def test_middle_core_pcg_solve(self):
         # one PCG loop in fixed buffers; scipy's cg with two LinearOperators
